@@ -1,22 +1,19 @@
-"""Compute-path benchmark: fused kernels, flat optimizers, batched inference.
+"""Compute-path benchmark: float32 training and batched inference.
 
 Times the nn-stack hot loop (forward → backward → clip → step) and
 repeated catalogue-scoring inference on a synthetic two-tower-style
-workload, across three train modes and two inference modes:
+workload, across two train modes and two inference modes:
 
-* ``train-reference``  — float64, fusion off, per-parameter optimizer
-  (the pre-compute-path seed configuration)
-* ``train-fused-flat`` — float64, fused kernels + flat-buffer Adam
-* ``train-float32``    — float32 fast path, fused + flat
-* ``infer-reference``  — float64, fusion off, graph-building forwards
-  in training-sized micro-batches, item tower recomputed per scoring
-  call (how ``score_against_items`` behaved before this layer)
-* ``infer-batched-f32``— float32, fused, ``no_grad`` micro-batches,
-  item embeddings memoized across scoring calls
+* ``train-reference``  — float64, the default numerics
+* ``train-float32``    — float32 fast path
+* ``infer-reference``  — float64, graph-building forwards in
+  training-sized micro-batches, item tower recomputed per scoring call
+  (how ``score_against_items`` behaved before this layer)
+* ``infer-batched-f32``— float32, ``no_grad`` micro-batches, item
+  embeddings memoized across scoring calls
 
-A differential probe first runs optimizer steps in reference and
-fused+flat float64 modes and requires bit-identical losses and
-parameters, so the speedups compare *equivalent* computations.
+Every mode runs the same kernels and the same optimizer step; the
+modes differ only in dtype, graph building, batch size and caching.
 
 Writes ``BENCH_compute.json``; ``--check BASELINE.json`` exits 1 if
 any mode regresses more than 30% below the baseline's throughput.
@@ -35,7 +32,6 @@ from typing import Dict, List
 import numpy as np
 
 import _gate
-from repro.nn import functional as F
 from repro.nn.layers import MLP
 from repro.nn.losses import cross_entropy
 from repro.nn.optim import Adam
@@ -86,18 +82,13 @@ def run_train_epoch(model, optimizer, features, labels, batches, dtype) -> None:
 
 def time_train_mode(mode: str, features, labels, batches) -> float:
     """Seconds for one measured training epoch of ``mode`` (one warm-up)."""
-    dtype, fused, flat = {
-        "train-reference": ("float64", False, False),
-        "train-fused-flat": ("float64", True, True),
-        "train-float32": ("float32", True, True),
-    }[mode]
-    with F.fusion(fused):
-        model = make_model(dtype)
-        optimizer = Adam(model.parameters(), lr=1e-3, flat=flat)
-        run_train_epoch(model, optimizer, features, labels, batches, dtype)
-        start = time.perf_counter()
-        run_train_epoch(model, optimizer, features, labels, batches, dtype)
-        return time.perf_counter() - start
+    dtype = {"train-reference": "float64", "train-float32": "float32"}[mode]
+    model = make_model(dtype)
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    run_train_epoch(model, optimizer, features, labels, batches, dtype)
+    start = time.perf_counter()
+    run_train_epoch(model, optimizer, features, labels, batches, dtype)
+    return time.perf_counter() - start
 
 
 def time_infer_mode(mode: str, features, items) -> float:
@@ -109,9 +100,9 @@ def time_infer_mode(mode: str, features, items) -> float:
     autograd graph; the fast path scores under ``no_grad`` and reuses
     the item embeddings across calls.
     """
-    dtype, fused, batch_size, use_no_grad, cache_items = {
-        "infer-reference": ("float64", False, 64, False, False),
-        "infer-batched-f32": ("float32", True, 2048, True, True),
+    dtype, batch_size, use_no_grad, cache_items = {
+        "infer-reference": ("float64", 64, False, False),
+        "infer-batched-f32": ("float32", 2048, True, True),
     }[mode]
 
     def epoch(query_tower, item_tower):
@@ -133,38 +124,12 @@ def time_infer_mode(mode: str, features, items) -> float:
                 else:
                     (query_tower(x) @ embedded.transpose()).data
 
-    with F.fusion(fused):
-        query_tower = make_model(dtype).eval()
-        item_tower = make_model(dtype, seed=8).eval()
-        epoch(query_tower, item_tower)
-        start = time.perf_counter()
-        epoch(query_tower, item_tower)
-        return time.perf_counter() - start
-
-
-def differential_check(features, labels, batches) -> bool:
-    """Reference and fused+flat float64 paths must match bit-for-bit."""
-    losses: List[np.ndarray] = []
-    states: List[Dict[str, np.ndarray]] = []
-    for fused, flat in ((False, False), (True, True)):
-        with F.fusion(fused):
-            model = make_model("float64")
-            optimizer = Adam(model.parameters(), lr=1e-3, flat=flat)
-            epoch_losses = []
-            for batch in batches[:4]:
-                optimizer.zero_grad()
-                loss = cross_entropy(model(Tensor(features[batch])), labels[batch])
-                epoch_losses.append(loss.data.copy())
-                loss.backward()
-                optimizer.gather_and_clip(_CLIP_NORM)
-                optimizer.step()
-            losses.append(np.asarray(epoch_losses))
-            states.append(model.state_dict())
-    if not np.array_equal(losses[0], losses[1]):
-        return False
-    return all(
-        np.array_equal(states[0][name], states[1][name]) for name in states[0]
-    )
+    query_tower = make_model(dtype).eval()
+    item_tower = make_model(dtype, seed=8).eval()
+    epoch(query_tower, item_tower)
+    start = time.perf_counter()
+    epoch(query_tower, item_tower)
+    return time.perf_counter() - start
 
 
 def run_suite(num_examples: int = 4096) -> Dict:
@@ -181,8 +146,7 @@ def run_suite(num_examples: int = 4096) -> Dict:
         },
         "modes": {},
     }
-    report["differential_ok"] = differential_check(features, labels, batches)
-    for mode in ("train-reference", "train-fused-flat", "train-float32"):
+    for mode in ("train-reference", "train-float32"):
         seconds = time_train_mode(mode, features, labels, batches)
         report["modes"][mode] = {
             "seconds": round(seconds, 4),
@@ -208,8 +172,7 @@ def run_suite(num_examples: int = 4096) -> Dict:
         "inference_speedup": infer_speedup,
         "required_inference_speedup": ACCEPTANCE_INFER_SPEEDUP,
         "passed": (
-            report["differential_ok"]
-            and train_speedup >= ACCEPTANCE_TRAIN_SPEEDUP
+            train_speedup >= ACCEPTANCE_TRAIN_SPEEDUP
             and infer_speedup >= ACCEPTANCE_INFER_SPEEDUP
         ),
     }
@@ -224,13 +187,7 @@ _GATES = [
 
 def check_against_baseline(report: Dict, baseline: Dict) -> List[str]:
     """Regression messages (empty when the run is clean)."""
-    problems = []
-    if not report["differential_ok"]:
-        problems.append("differential check failed: fused+flat diverges from reference")
-    problems.extend(
-        _gate.mode_regressions(report["modes"], baseline.get("modes", {}), _GATES)
-    )
-    return problems
+    return _gate.mode_regressions(report["modes"], baseline.get("modes", {}), _GATES)
 
 
 def main(argv=None) -> int:
@@ -248,7 +205,6 @@ def main(argv=None) -> int:
     for mode, entry in report["modes"].items():
         print(f"{mode:<18} {entry['seconds']:>8.3f}s  {entry['examples_per_sec']:>10.0f} ex/s"
               f"  {entry['speedup_vs_reference']:>6.2f}x")
-    print(f"differential check: {'ok' if report['differential_ok'] else 'FAILED'}")
     print(f"train-step speedup: {report['acceptance']['train_step_speedup']:.2f}x "
           f"(required {ACCEPTANCE_TRAIN_SPEEDUP:.1f}x)")
     print(f"inference speedup:  {report['acceptance']['inference_speedup']:.2f}x "
@@ -277,7 +233,6 @@ def main(argv=None) -> int:
 def test_compute_throughput_acceptance(tmp_path):
     """The fast path must hold its speedup floors over the reference path."""
     report = run_suite(num_examples=2048)
-    assert report["differential_ok"]
     assert report["acceptance"]["train_step_speedup"] >= ACCEPTANCE_TRAIN_SPEEDUP
     assert report["acceptance"]["inference_speedup"] >= ACCEPTANCE_INFER_SPEEDUP
     out = tmp_path / "BENCH_compute.json"

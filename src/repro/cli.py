@@ -52,14 +52,8 @@ Throughput flags (``fit`` / ``query``; see docs/performance.md):
 
 * ``--sampler {reference,vectorized,vectorized-unique}`` picks the
   neighbor-sampler implementation.
-* ``--num-workers N`` shards minibatch subgraph sampling across N
-  worker processes so sampling overlaps training (deterministic:
-  results are bit-identical to the serial path for a fixed seed).
-  Workers view the graph through a shared-memory CSR store by
-  default; ``--no-shared-graph`` falls back to fork inheritance.
 * ``--cache-size BATCHES`` memoizes sampled subgraphs in an LRU keyed
   on batch content, reused across epochs and at inference.
-* ``--prefetch-batches N`` bounds the in-flight sampling window.
 * ``--route {auto,green,yellow,red}`` fits a cost-routed model
   (GREEN = calibrated activity baseline, YELLOW = GBDT on auto
   features, RED = full GNN) and routes each prediction to the
@@ -137,22 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
             default="reference", help="neighbor-sampler implementation",
         )
         p.add_argument(
-            "--num-workers", type=int, default=0, metavar="N",
-            help="sampling worker processes; 0 samples in-process",
-        )
-        p.add_argument(
             "--cache-size", type=int, default=0, metavar="BATCHES",
             help="subgraph LRU capacity in batches; 0 disables caching",
-        )
-        p.add_argument(
-            "--prefetch-batches", type=int, default=2, metavar="N",
-            help="batches kept in flight beyond one per worker",
-        )
-        p.add_argument(
-            "--no-shared-graph", dest="shared_graph", action="store_false",
-            help="disable the shared-memory CSR graph store for sampler "
-                 "workers (fall back to fork inheritance; bit-identical "
-                 "results either way)",
         )
         p.add_argument(
             "--infer-batch-size", type=int, default=None, metavar="N",
@@ -435,10 +415,7 @@ def _planner_config(args: argparse.Namespace) -> PlannerConfig:
         seed=args.seed,
         conv_type=args.conv,
         sampler_impl=args.sampler,
-        num_workers=args.num_workers,
         cache_size=args.cache_size,
-        prefetch_batches=args.prefetch_batches,
-        shared_graph=args.shared_graph,
         infer_batch_size=args.infer_batch_size,
         compute_dtype=args.compute_dtype,
     )
@@ -590,7 +567,6 @@ def _publish_trainer_metrics(registry, trace) -> None:
         "sampler.nodes_sampled",
         "sampler.edges_sampled",
         "sampler.fanout_truncations",
-        "sampler.parallel.batches",
     ):
         if name in totals:
             registry.counter(name).inc(totals[name])

@@ -29,16 +29,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.graph.parallel import ParallelSampleLoader
-
 from repro.gnn.models import HeteroGNN, TwoTowerModel
 from repro.graph.hetero import HeteroGraph
-from repro.graph.sampler import NeighborSampler
+from repro.graph.sampler import NeighborSampler, SampledSubgraph
 from repro.nn.losses import binary_cross_entropy_with_logits, bpr_loss, cross_entropy, mse_loss
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
@@ -80,14 +77,6 @@ class TrainConfig:
     lr_backoff: float = 0.5
     #: Pre-clip gradient norms above this count as divergence.
     grad_norm_limit: float = 1e6
-    #: Sampling worker processes (0 = sample in-process).  Takes
-    #: effect through the loader the planner attaches to the trainer.
-    num_workers: int = 0
-    #: Batches kept in flight beyond one per worker.
-    prefetch_batches: int = 2
-    #: Whether that loader serves workers from the shared-memory CSR
-    #: graph store (zero-copy) or plain fork inheritance.
-    shared_graph: bool = True
     #: Batch size for no-grad evaluation/prediction.  Inference builds
     #: no backward graph, so it can usually run much larger batches
     #: than training; ``None`` falls back to ``batch_size``.
@@ -152,22 +141,15 @@ def _record_epoch(
 
 def _epoch_batches(
     trainer, seed_type: str, ids: np.ndarray, times: np.ndarray, order: np.ndarray
-) -> Iterator[Tuple[np.ndarray, "SampledSubgraph"]]:
+) -> Iterator[Tuple[np.ndarray, SampledSubgraph]]:
     """Yield ``(batch_indices, subgraph)`` for one shuffled epoch.
 
-    With a loader attached, sampling runs on worker processes and
-    overlaps the training compute of earlier batches; otherwise each
-    batch samples in-process right before its forward pass.  Both
-    paths produce identical subgraphs whenever the sampler follows the
-    deterministic contract of :mod:`repro.graph.cache`.
+    Each batch samples in-process right before its forward pass.
     """
     batch_size = trainer.config.batch_size
-    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
-    if trainer.loader is None:
-        for batch in batches:
-            yield batch, trainer.sampler.sample(seed_type, ids[batch], times[batch])
-    else:
-        yield from trainer.loader.iter_epoch(seed_type, ids, times, batches)
+    for start in range(0, len(order), batch_size):
+        batch = order[start : start + batch_size]
+        yield batch, trainer.sampler.sample(seed_type, ids[batch], times[batch])
 
 
 class _Diverged(Exception):
@@ -423,7 +405,6 @@ class NodeTaskTrainer:
         task_type: str,
         config: Optional[TrainConfig] = None,
         pos_weight: Optional[float] = None,
-        loader: Optional["ParallelSampleLoader"] = None,
     ) -> None:
         if task_type not in _TASK_TYPES:
             raise ValueError(f"task_type must be one of {_TASK_TYPES}, got {task_type!r}")
@@ -434,9 +415,6 @@ class NodeTaskTrainer:
         self.config = config or TrainConfig()
         #: Weight on the positive-class BCE term (binary tasks only).
         self.pos_weight = pos_weight
-        #: Optional parallel/prefetching batch source for training
-        #: epochs; when None, batches sample in-process via ``sampler``.
-        self.loader = loader
         self.history = _History()
         self._rng = np.random.default_rng(self.config.seed)
         self._target_mean = 0.0
@@ -614,15 +592,12 @@ class LinkTaskTrainer:
         sampler: NeighborSampler,
         config: Optional[TrainConfig] = None,
         num_negatives: int = 4,
-        loader: Optional["ParallelSampleLoader"] = None,
     ) -> None:
         self.model = model
         self.graph = graph
         self.sampler = sampler
         self.config = config or TrainConfig()
         self.num_negatives = num_negatives
-        #: Optional parallel/prefetching batch source (see NodeTaskTrainer).
-        self.loader = loader
         self.history = _History()
         self._rng = np.random.default_rng(self.config.seed)
         self._num_items = graph.num_nodes(model.item_type)

@@ -11,11 +11,7 @@ and every time column a timestamp on nodes and edges.
 * :mod:`repro.graph.builder` — the DB→graph compiler;
 * :mod:`repro.graph.sampler` — time-respecting neighbor sampling;
 * :mod:`repro.graph.cache` — subgraph memoization plus the
-  deterministic (content-keyed RNG) sampling contract;
-* :mod:`repro.graph.shared` — the shared-memory CSR store that lets
-  sampler workers view the graph zero-copy;
-* :mod:`repro.graph.parallel` — multi-process minibatch sampling with
-  bounded prefetch over the shared store.
+  deterministic (content-keyed RNG) sampling contract.
 """
 
 from repro.graph.hetero import EdgeType, HeteroGraph, TIME_MIN
@@ -25,8 +21,6 @@ from repro.graph.sampler import NeighborSampler, SampledSubgraph
 from repro.graph.fast_sampler import VectorizedNeighborSampler
 from repro.graph.snapshot import snapshot_subgraph
 from repro.graph.cache import CachedSampler, LRUSubgraphCache, graph_fingerprint
-from repro.graph.shared import SharedGraphStore, list_shared_segments
-from repro.graph.parallel import ParallelSampleLoader
 
 __all__ = [
     "EdgeType",
@@ -42,7 +36,4 @@ __all__ = [
     "CachedSampler",
     "LRUSubgraphCache",
     "graph_fingerprint",
-    "SharedGraphStore",
-    "list_shared_segments",
-    "ParallelSampleLoader",
 ]

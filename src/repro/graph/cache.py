@@ -1,23 +1,20 @@
 """Subgraph memoization and the deterministic sampling contract.
 
-The throughput layer (this module plus
-:mod:`repro.graph.parallel`) rests on one invariant:
+The sampling cache rests on one invariant:
 
     **Sampling is a pure function of the batch.**  The subgraph for a
     batch depends only on (sampler implementation, fanouts,
     time-respecting flag, base seed, seed type, seed ids, seed times)
     drawn against the current graph — never on how many batches were
-    sampled before it, which worker sampled it, or whether a cache
-    served it.
+    sampled before it or whether a cache served it.
 
 :class:`CachedSampler` enforces the invariant by re-seeding the
 wrapped sampler's generator from a content digest before every draw
 (:func:`batch_rng_seed`).  Because the draw is pure, a memoized
-subgraph is *bit-identical* to a re-sampled one, so the LRU cache and
-the parallel loader are semantically invisible: serial, cached, and
-multi-worker runs produce the same metrics for a fixed seed.  The
-differential test suite (``tests/test_differential_sampling.py``)
-locks this in.
+subgraph is *bit-identical* to a re-sampled one, so the LRU cache is
+semantically invisible: serial and cached runs produce the same
+metrics for a fixed seed.  The differential test suite
+(``tests/test_differential_sampling.py``) locks this in.
 
 The cache key is a 32-byte composite: the 16-byte graph fingerprint
 followed by the 16-byte batch digest.  The RNG seed derives from the
@@ -73,11 +70,8 @@ def graph_fingerprint(graph: HeteroGraph) -> str:
     it hashes every edge array.
 
     The digest covers exactly the CSR layout (``indptr``, ``nbr_src``,
-    ``nbr_time``) plus node counts and timestamps — the same arrays a
-    :class:`~repro.graph.shared.SharedGraphStore` packs — so a
-    shared-memory view of a graph (which carries the precomputed
-    fingerprint in its manifest) derives identical content keys, and
-    worker-sampled batches stay bit-identical to serial ones.
+    ``nbr_time``) plus node counts and timestamps: the arrays a draw
+    reads, and nothing else.
     """
     cached = getattr(graph, "_fingerprint", None)
     if cached is not None:
@@ -146,8 +140,8 @@ def batch_rng_seed(
 ) -> int:
     """The per-batch generator seed under the deterministic contract.
 
-    Shared by :class:`CachedSampler` (serial path) and the parallel
-    workers, which is what makes their draws bit-identical.  The graph
+    Used by :class:`CachedSampler` for every draw, which is what makes
+    a cached subgraph bit-identical to a fresh one.  The graph
     fingerprint is deliberately *not* an input: the RNG stream for a
     batch is stable across graph deltas, so subgraphs whose inputs a
     delta provably did not touch stay valid (see the module
@@ -167,9 +161,8 @@ KEY_PREFIX_LEN = 16
 class LRUSubgraphCache:
     """Bounded LRU of sampled subgraphs keyed by batch digest.
 
-    Thread-safe: the parallel loader inserts from the main thread
-    while trainer code reads, and future work may share one cache
-    across loaders.  Counters are mirrored into the global metrics
+    Thread-safe: serving threads (the micro-batch runner, a canary
+    shadow worker, an ingest refresh) may share one cache.  Counters are mirrored into the global metrics
     registry under ``sampler.cache.{hits,misses,evictions}``.
     """
 

@@ -41,10 +41,7 @@ class SampledSubgraph:
     Internally, node/edge/degree columns are stored as *parts* — plain
     python lists fed by the scalar reference-sampler API plus numpy
     blocks appended by the vectorized sampler — and collapsed into
-    contiguous int64/float64 arrays by :meth:`finalize`.  The compact
-    array form (:meth:`to_arrays` / :meth:`from_arrays`) is what
-    parallel sampler workers ship back to the parent instead of a
-    pickled object graph.
+    contiguous int64/float64 arrays by :meth:`finalize`.
 
     Attributes
     ----------
@@ -162,49 +159,6 @@ class SampledSubgraph:
         if pending:
             blocks.append(np.asarray(pending, dtype=np.float64))
         return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-
-    # -- compact wire format (used by parallel sampler workers) ---------
-    def to_arrays(self) -> Dict[str, object]:
-        """Serialize to a dict of flat numpy arrays.
-
-        The payload contains no python object graph — just the seed
-        metadata plus per-type id/time/edge/degree columns — so it is
-        cheap to pickle across a process boundary and rebuilds without
-        re-interning via :meth:`from_arrays`.
-        """
-        self.finalize()
-        return {
-            "seed_type": self.seed_type,
-            "seed_locals": self.seed_locals,
-            "nodes": {
-                node_type: (parts[0], self._ctx_time[node_type][0])
-                for node_type, parts in self._orig.items()
-            },
-            "edges": {
-                edge_type: (src_parts[0], dst_parts[0])
-                for edge_type, (src_parts, dst_parts) in self._edges.items()
-            },
-            "degrees": {node_type: parts[0] for node_type, parts in self._degrees.items()},
-        }
-
-    @classmethod
-    def from_arrays(cls, payload: Dict[str, object]) -> "SampledSubgraph":
-        """Rebuild a (read-only) subgraph from :meth:`to_arrays` output."""
-        subgraph = cls(payload["seed_type"])
-        subgraph.seed_locals = np.asarray(payload["seed_locals"], dtype=np.int64)
-        for node_type, (orig, ctx) in payload["nodes"].items():
-            subgraph._orig[node_type] = [np.asarray(orig, dtype=np.int64)]
-            subgraph._ctx_time[node_type] = [np.asarray(ctx, dtype=np.int64)]
-        for edge_type, (src, dst) in payload["edges"].items():
-            subgraph._edges[edge_type] = (
-                [np.asarray(src, dtype=np.int64)],
-                [np.asarray(dst, dtype=np.int64)],
-            )
-        for node_type, block in payload["degrees"].items():
-            block = np.asarray(block, dtype=np.float64)
-            subgraph._degrees[node_type] = [block]
-            subgraph._degree_rows[node_type] = len(block)
-        return subgraph
 
     # -- read access (used by the model) -------------------------------
     @property

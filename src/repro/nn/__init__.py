@@ -9,14 +9,14 @@ This package replaces the paper's PyTorch dependency.  It provides
 * :mod:`repro.nn.layers` — ``Linear``, ``MLP``, ``Embedding``,
   ``LayerNorm``, ``Dropout``, ``Sequential``;
 * :mod:`repro.nn.losses` — classification/regression/ranking losses;
-* :mod:`repro.nn.optim` — ``SGD``, ``Adam``, ``AdamW`` (flat-buffer
-  vectorized by default), gradient clipping and LR schedules;
+* :mod:`repro.nn.optim` — ``SGD``, ``Adam``, ``AdamW``, gradient
+  clipping and LR schedules;
 * :mod:`repro.nn.functional` — fused forward/backward kernels
   (``addmm``, ``linear_relu``, ``softmax_cross_entropy``);
 * :mod:`repro.nn.init` — weight initializers.
 """
 
-from repro.nn.tensor import Tensor, as_dtype, no_grad
+from repro.nn.tensor import Tensor, as_dtype, is_grad_enabled, no_grad
 from repro.nn import functional
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, MLP, ReLU, Sequential, Tanh
@@ -35,6 +35,7 @@ from repro.nn.gradcheck import check_gradients, numeric_gradient
 __all__ = [
     "Tensor",
     "no_grad",
+    "is_grad_enabled",
     "as_dtype",
     "functional",
     "Module",

@@ -1,27 +1,16 @@
 """Optimizers, gradient clipping, and learning-rate schedules.
 
-Optimizers run in *flat* mode by default: at construction every
-parameter's storage is rebound to a view into one contiguous buffer
-per dtype, so an update step is a handful of vectorized numpy ops over
-the whole model instead of a Python loop per parameter.  The layout is
-recorded in a manifest (:meth:`Optimizer.layout_manifest`) and the
-per-parameter optimizer state (``_m``/``_v``/``_velocity``) is still
-addressable by parameter index, so checkpoints are bit-identical to
-the per-parameter reference implementation (``flat=False``), which is
-kept for the equivalence suite.
-
-The flat step is constructed to be *bit-identical* to the reference
-step in every dtype: each vectorized expression performs exactly the
-same elementwise operations in the same order as the reference loop
-(exploiting that float ``+``/``*`` are bitwise commutative), and
-parameters whose gradient is ``None`` are restored after the update,
-matching the reference's ``continue``.
+Each optimizer keeps its per-parameter state (``_velocity`` for SGD,
+``_m``/``_v`` for Adam) in a dict keyed by parameter index, holding an
+entry only for parameters that have received a gradient.  Checkpoints
+save and restore those dicts directly, so a resumed run steps
+bit-identically to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -38,233 +27,29 @@ __all__ = [
 ]
 
 
-class _Slot:
-    """Placement of one parameter inside its dtype group's flat buffer."""
-
-    __slots__ = ("param", "index", "offset", "size", "shape")
-
-    def __init__(self, param: Parameter, index: int, offset: int) -> None:
-        self.param = param
-        self.index = index
-        self.offset = offset
-        self.size = param.data.size
-        self.shape = param.data.shape
-
-
-class _Group:
-    """One dtype's contiguous data/grad buffers and the slots inside them."""
-
-    __slots__ = ("dtype", "data", "grad", "slots")
-
-    def __init__(self, dtype: np.dtype, total: int, slots: List[_Slot]) -> None:
-        self.dtype = dtype
-        self.data = np.empty(total, dtype=dtype)
-        self.grad = np.zeros(total, dtype=dtype)
-        self.slots = slots
-
-
-class FlatParamSpace:
-    """Contiguous flat storage for a parameter list, grouped by dtype.
-
-    Construction copies each parameter's current values into the flat
-    buffer and rebinds ``param.data`` to a reshaped view of it, so
-    layers keep reading/writing their own storage while the optimizer
-    updates the whole group with single vectorized expressions.
-    """
-
-    def __init__(self, parameters: Sequence[Parameter]) -> None:
-        by_dtype: Dict[np.dtype, List[Tuple[int, Parameter]]] = {}
-        for index, param in enumerate(parameters):
-            by_dtype.setdefault(param.data.dtype, []).append((index, param))
-        self.groups: List[_Group] = []
-        for dtype, members in by_dtype.items():
-            offset = 0
-            slots = []
-            for index, param in members:
-                slots.append(_Slot(param, index, offset))
-                offset += param.data.size
-            group = _Group(dtype, offset, slots)
-            for slot in slots:
-                group.data[slot.offset:slot.offset + slot.size] = slot.param.data.reshape(-1)
-                slot.param.data = group.data[slot.offset:slot.offset + slot.size].reshape(slot.shape)
-            self.groups.append(group)
-
-    def layout_manifest(self) -> List[Dict]:
-        """Stable description of where each parameter lives."""
-        manifest = []
-        for group in self.groups:
-            for slot in group.slots:
-                manifest.append(
-                    {
-                        "index": slot.index,
-                        "dtype": str(group.dtype),
-                        "offset": slot.offset,
-                        "size": slot.size,
-                        "shape": list(slot.shape),
-                    }
-                )
-        return sorted(manifest, key=lambda entry: entry["index"])
-
-    def gather(self) -> List[Tuple[int, _Slot]]:
-        """Copy per-parameter grads into the flat grad buffers.
-
-        Returns the slots whose parameter has no gradient (their grad
-        slice is zeroed; the optimizer restores their state after the
-        vectorized update, reproducing the reference's skip).
-        """
-        missing: List[Tuple[int, _Slot]] = []
-        for gi, group in enumerate(self.groups):
-            flat = group.grad
-            for slot in group.slots:
-                grad = slot.param.grad
-                if grad is None:
-                    flat[slot.offset:slot.offset + slot.size] = 0.0
-                    missing.append((gi, slot))
-                else:
-                    flat[slot.offset:slot.offset + slot.size] = grad.reshape(-1)
-        return missing
-
-    def grad_norm(self) -> float:
-        """Global L2 norm of the gathered flat gradients.
-
-        Accumulated per parameter in registration order with the exact
-        ``(grad ** 2).sum()`` reduction :func:`clip_grad_norm` uses, so
-        flat clipping stays bit-identical to the per-parameter
-        reference (a BLAS dot over the whole buffer can differ in the
-        last ulp and would break checkpoint equivalence).
-        """
-        contributions: Dict[int, float] = {}
-        for group in self.groups:
-            for slot in group.slots:
-                view = group.grad[slot.offset:slot.offset + slot.size]
-                contributions[slot.index] = float((view**2).sum())
-        total = 0.0
-        for index in sorted(contributions):
-            total += contributions[index]
-        return math.sqrt(total)
-
-    def scale_grads(self, scale: float) -> None:
-        """Multiply every gathered flat gradient by ``scale`` (clipping)."""
-        for group in self.groups:
-            group.grad *= scale
-
-    def alloc_like(self) -> List[np.ndarray]:
-        """Zeroed state buffers, one per dtype group (for moments etc.)."""
-        return [np.zeros_like(group.data) for group in self.groups]
-
-    def state_views(self, buffers: Optional[List[np.ndarray]]) -> Dict[int, np.ndarray]:
-        """Per-parameter-index views into state ``buffers``."""
-        if buffers is None:
-            return {}
-        out: Dict[int, np.ndarray] = {}
-        for group, buf in zip(self.groups, buffers):
-            for slot in group.slots:
-                out[slot.index] = buf[slot.offset:slot.offset + slot.size].reshape(slot.shape)
-        return out
-
-    def load_state(self, buffers: List[np.ndarray], mapping: Dict[int, np.ndarray]) -> None:
-        """Zero ``buffers`` and scatter ``mapping`` (index -> array) into them."""
-        for group, buf in zip(self.groups, buffers):
-            buf[:] = 0.0
-            for slot in group.slots:
-                value = mapping.get(slot.index)
-                if value is not None:
-                    buf[slot.offset:slot.offset + slot.size] = np.asarray(
-                        value, dtype=group.dtype
-                    ).reshape(-1)
-
-
 class Optimizer:
-    """Base optimizer: holds parameters, the current LR, and flat storage.
+    """Base optimizer: holds the parameters and the current LR."""
 
-    Parameters
-    ----------
-    parameters:
-        The learnable parameters (their storage is rebound into a flat
-        buffer unless ``flat=False``).
-    lr:
-        Learning rate.
-    flat:
-        ``True`` (default) uses the vectorized flat-buffer step;
-        ``False`` keeps the original per-parameter Python loop (the
-        reference the equivalence tests diff against).
-    """
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float, flat: bool = True) -> None:
+    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer created with no parameters")
         self.lr = lr
-        self._flat: Optional[FlatParamSpace] = FlatParamSpace(self.parameters) if flat else None
-        self._gathered = False
-        self._missing: List[Tuple[int, _Slot]] = []
 
     def zero_grad(self) -> None:
         """Clear all parameter gradients."""
         for param in self.parameters:
             param.zero_grad()
 
-    def layout_manifest(self) -> List[Dict]:
-        """Flat-buffer layout (index/dtype/offset/size/shape per parameter)."""
-        if self._flat is not None:
-            return self._flat.layout_manifest()
-        return [
-            {
-                "index": i,
-                "dtype": str(p.data.dtype),
-                "offset": None,
-                "size": p.data.size,
-                "shape": list(p.data.shape),
-            }
-            for i, p in enumerate(self.parameters)
-        ]
-
     def gather_and_clip(self, max_norm: Optional[float] = None) -> float:
-        """Gather grads into the flat buffer and return the global L2 norm.
+        """Clip this optimizer's gradients; return their pre-clip L2 norm.
 
-        When ``max_norm`` is given and exceeded, the flat gradients are
-        scaled down (the per-parameter ``.grad`` arrays are left
-        untouched; the subsequent :meth:`step` consumes the flat
-        buffer).  In non-flat mode this falls back to
-        :func:`clip_grad_norm`, which scales ``.grad`` in place.
+        :func:`clip_grad_norm` over :attr:`parameters`, scaling ``.grad``
+        in place when ``max_norm`` is given and exceeded.  Trainers clip
+        through this method, so a profile counts clipping as optimizer
+        time.
         """
-        if self._flat is None:
-            return clip_grad_norm(self.parameters, math.inf if max_norm is None else max_norm)
-        self._missing = self._flat.gather()
-        self._gathered = True
-        norm = self._flat.grad_norm()
-        if max_norm is not None and norm > max_norm and norm > 0:
-            self._flat.scale_grads(max_norm / norm)
-        return norm
-
-    # -- flat-mode helpers ------------------------------------------------
-    def _ensure_gathered(self) -> None:
-        if not self._gathered:
-            self._missing = self._flat.gather()
-            self._gathered = True
-
-    def _save_missing(self, buffer_sets: List[List[np.ndarray]]) -> List[Tuple]:
-        """Snapshot data+state slices of grad-less params before the update."""
-        saved = []
-        for gi, slot in self._missing:
-            lo, hi = slot.offset, slot.offset + slot.size
-            group = self._flat.groups[gi]
-            copies = [group.data[lo:hi].copy()]
-            for buffers in buffer_sets:
-                if buffers is not None:
-                    copies.append(buffers[gi][lo:hi].copy())
-            saved.append((gi, lo, hi, copies))
-        return saved
-
-    def _restore_missing(self, saved: List[Tuple], buffer_sets: List[List[np.ndarray]]) -> None:
-        for gi, lo, hi, copies in saved:
-            group = self._flat.groups[gi]
-            group.data[lo:hi] = copies[0]
-            pos = 1
-            for buffers in buffer_sets:
-                if buffers is not None:
-                    buffers[gi][lo:hi] = copies[pos]
-                    pos += 1
+        return clip_grad_norm(self.parameters, math.inf if max_norm is None else max_norm)
 
     def step(self) -> None:
         """Apply one update; subclasses override."""
@@ -280,61 +65,14 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        flat: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, flat=flat)
+        super().__init__(parameters, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        if self._flat is not None:
-            self._flat_velocity = self._flat.alloc_like() if momentum else None
-            self._scratch = self._flat.alloc_like()
-        self._velocity = {}
-
-    @property
-    def _velocity(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None:
-            return self._flat.state_views(self._flat_velocity)
-        return self._velocity_dict
-
-    @_velocity.setter
-    def _velocity(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat is not None:
-            if self._flat_velocity is not None:
-                self._flat.load_state(self._flat_velocity, value)
-        else:
-            self._velocity_dict = dict(value)
+        self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
         """Apply one (momentum) SGD update from accumulated gradients."""
-        if self._flat is None:
-            self._step_reference()
-            return
-        self._ensure_gathered()
-        saved = self._save_missing([self._flat_velocity])
-        for gi, group in enumerate(self._flat.groups):
-            # All arithmetic lands in persistent scratch: zero
-            # allocations per step, bit-identical to the reference
-            # (float +/* are bitwise commutative).
-            scratch = self._scratch[gi]
-            grad = group.grad
-            if self.weight_decay:
-                np.multiply(group.data, self.weight_decay, out=scratch)
-                scratch += grad
-                grad = scratch
-            if self.momentum:
-                velocity = self._flat_velocity[gi]
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            if grad is scratch:
-                scratch *= self.lr
-            else:
-                np.multiply(grad, self.lr, out=scratch)
-            group.data -= scratch
-        self._restore_missing(saved, [self._flat_velocity])
-        self._gathered = False
-
-    def _step_reference(self) -> None:
         for i, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
@@ -342,20 +80,17 @@ class SGD(Optimizer):
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             if self.momentum:
-                velocity = self._velocity_dict.get(i)
+                velocity = self._velocity.get(i)
                 if velocity is None:
                     velocity = np.zeros_like(param.data)
                 velocity = self.momentum * velocity + grad
-                self._velocity_dict[i] = velocity
+                self._velocity[i] = velocity
                 grad = velocity
             param.data -= self.lr * grad
 
 
 class Adam(Optimizer):
     """Adam optimizer (Kingma & Ba, 2015)."""
-
-    #: AdamW flips this to apply decay to the weights instead of the grad.
-    _decoupled_decay = False
 
     def __init__(
         self,
@@ -364,48 +99,14 @@ class Adam(Optimizer):
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        flat: bool = True,
     ) -> None:
-        super().__init__(parameters, lr, flat=flat)
+        super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        if self._flat is not None:
-            self._flat_m = self._flat.alloc_like()
-            self._flat_v = self._flat.alloc_like()
-            self._scratch_a = self._flat.alloc_like()
-            self._scratch_b = self._flat.alloc_like()
-        self._m = {}
-        self._v = {}
+        self._m: Dict[int, np.ndarray] = {}
+        self._v: Dict[int, np.ndarray] = {}
         self._t = 0
-
-    # Checkpoint compatibility: resilience snapshots read/write the
-    # moments as ``{param_index: array}`` regardless of storage mode.
-    @property
-    def _m(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None:
-            return self._flat.state_views(self._flat_m)
-        return self._m_dict
-
-    @_m.setter
-    def _m(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat is not None:
-            self._flat.load_state(self._flat_m, value)
-        else:
-            self._m_dict = dict(value)
-
-    @property
-    def _v(self) -> Dict[int, np.ndarray]:
-        if self._flat is not None:
-            return self._flat.state_views(self._flat_v)
-        return self._v_dict
-
-    @_v.setter
-    def _v(self, value: Dict[int, np.ndarray]) -> None:
-        if self._flat is not None:
-            self._flat.load_state(self._flat_v, value)
-        else:
-            self._v_dict = dict(value)
 
     def _decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
         # L2-style decay folded into the gradient (classic Adam).
@@ -415,46 +116,6 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         """Apply one bias-corrected Adam update."""
-        if self._flat is None:
-            self._step_reference()
-            return
-        self._ensure_gathered()
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        saved = self._save_missing([self._flat_m, self._flat_v])
-        for gi, group in enumerate(self._flat.groups):
-            # All arithmetic lands in two persistent scratch buffers:
-            # zero allocations per step, and every expression computes
-            # the same floats (in the same order) as the reference loop.
-            s_update, s_denom = self._scratch_a[gi], self._scratch_b[gi]
-            grad = group.grad
-            if self._decoupled_decay:
-                if self.weight_decay:
-                    np.multiply(group.data, self.lr * self.weight_decay, out=s_update)
-                    group.data -= s_update
-            elif self.weight_decay:
-                np.multiply(group.data, self.weight_decay, out=s_update)
-                grad += s_update  # grad + wd*data (float + is commutative)
-            m, v = self._flat_m[gi], self._flat_v[gi]
-            m *= self.beta1
-            np.multiply(grad, 1.0 - self.beta1, out=s_update)
-            m += s_update
-            np.multiply(grad, grad, out=s_update)
-            s_update *= 1.0 - self.beta2
-            v *= self.beta2
-            v += s_update
-            np.divide(m, bias1, out=s_update)
-            s_update *= self.lr
-            np.divide(v, bias2, out=s_denom)
-            np.sqrt(s_denom, out=s_denom)
-            s_denom += self.eps
-            s_update /= s_denom
-            group.data -= s_update
-        self._restore_missing(saved, [self._flat_m, self._flat_v])
-        self._gathered = False
-
-    def _step_reference(self) -> None:
         self._t += 1
         bias1 = 1.0 - self.beta1 ** self._t
         bias2 = 1.0 - self.beta2 ** self._t
@@ -462,14 +123,14 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = self._decay(param, param.grad)
-            m = self._m_dict.get(i)
-            v = self._v_dict.get(i)
+            m = self._m.get(i)
+            v = self._v.get(i)
             if m is None:
                 m = np.zeros_like(param.data)
                 v = np.zeros_like(param.data)
             m = self.beta1 * m + (1.0 - self.beta1) * grad
             v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-            self._m_dict[i], self._v_dict[i] = m, v
+            self._m[i], self._v[i] = m, v
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
@@ -477,8 +138,6 @@ class Adam(Optimizer):
 
 class AdamW(Adam):
     """Adam with decoupled weight decay (Loshchilov & Hutter, 2019)."""
-
-    _decoupled_decay = True
 
     def _decay(self, param: Parameter, grad: np.ndarray) -> np.ndarray:
         # Decoupled: decay applied directly to weights, not the gradient.
@@ -490,9 +149,7 @@ class AdamW(Adam):
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping norm.  (Flat-mode optimizers provide the
-    vectorized :meth:`Optimizer.gather_and_clip` instead; this
-    per-parameter version is kept as the reference and for ad-hoc use.)
+    Returns the pre-clipping norm.
     """
     total = 0.0
     for param in parameters:

@@ -59,7 +59,6 @@ from repro.graph.builder import build_graph, node_index_for_keys
 from repro.graph.cache import CachedSampler, LRUSubgraphCache
 from repro.graph.hetero import HeteroGraph
 from repro.graph.fast_sampler import VectorizedNeighborSampler
-from repro.graph.parallel import ParallelSampleLoader
 from repro.graph.sampler import NeighborSampler
 from repro.pql.ast import PredictiveQuery, TaskType
 from repro.pql.labeler import LabelTable, build_label_table
@@ -146,15 +145,6 @@ class PlannerConfig:
     #: :mod:`repro.graph.cache`), so the cache never changes results —
     #: only how often identical batches are re-sampled.
     cache_size: int = 0
-    #: Sampling worker processes for training epochs (0 = in-process).
-    num_workers: int = 0
-    #: Batches kept in flight beyond one per worker.
-    prefetch_batches: int = 2
-    #: Serve sampler workers from a shared-memory CSR graph store
-    #: (zero-copy; the default).  ``False`` falls back to plain fork
-    #: inheritance of the graph — results are bit-identical either
-    #: way; see :mod:`repro.graph.shared`.
-    shared_graph: bool = True
     #: Compute dtype for model parameters and activations: "float64"
     #: (default, the reference numerics) or "float32" (the fast
     #: training path; gradcheck always runs in float64).
@@ -208,9 +198,6 @@ class PlannerConfig:
             patience=self.patience,
             clip_norm=self.clip_norm,
             seed=self.seed,
-            num_workers=self.num_workers,
-            prefetch_batches=self.prefetch_batches,
-            shared_graph=self.shared_graph,
             infer_batch_size=self.infer_batch_size,
         )
 
@@ -341,34 +328,20 @@ class PredictiveQueryPlanner:
                 sampler = self.config.make_sampler(
                     graph, np.random.default_rng(self.config.seed + 1)
                 )
-                loader = None
-                if self.config.num_workers > 0:
-                    loader = ParallelSampleLoader(
-                        sampler,
-                        num_workers=self.config.num_workers,
-                        prefetch_batches=self.config.prefetch_batches,
-                        shared_graph=self.config.shared_graph,
-                    )
                 resume = bool(
                     self.resilience
                     and (self.resilience.resume
                          or (attempt > 0 and self.resilience.checkpoint_dir))
                 )
-                try:
-                    if binding.task_type == TaskType.LINK:
-                        return self._fit_link(
-                            binding, split, graph, metadata, sampler, rng,
-                            train_labels, val_labels, deadline=deadline, resume=resume,
-                            loader=loader,
-                        )
-                    return self._fit_node(
+                if binding.task_type == TaskType.LINK:
+                    return self._fit_link(
                         binding, split, graph, metadata, sampler, rng,
                         train_labels, val_labels, deadline=deadline, resume=resume,
-                        loader=loader,
                     )
-                finally:
-                    if loader is not None:
-                        loader.close()
+                return self._fit_node(
+                    binding, split, graph, metadata, sampler, rng,
+                    train_labels, val_labels, deadline=deadline, resume=resume,
+                )
 
             with obs_trace.span("planner.train"):
                 try:
@@ -449,7 +422,7 @@ class PredictiveQueryPlanner:
     # Node tasks (binary / regression)
     # ------------------------------------------------------------------
     def _fit_node(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
-                  deadline=None, resume=False, loader=None):
+                  deadline=None, resume=False):
         entity_type = binding.query.entity_table
         model = HeteroGNN(
             metadata,
@@ -474,7 +447,6 @@ class PredictiveQueryPlanner:
             model, graph, sampler, task,
             config=self._train_config(resume),
             pos_weight=pos_weight,
-            loader=loader,
         )
         train_ids = node_index_for_keys(graph, entity_type, train_labels.entity_keys)
         kwargs = {}
@@ -498,7 +470,7 @@ class PredictiveQueryPlanner:
     # Link tasks
     # ------------------------------------------------------------------
     def _fit_link(self, binding, split, graph, metadata, sampler, rng, train_labels, val_labels,
-                  deadline=None, resume=False, loader=None):
+                  deadline=None, resume=False):
         entity_type = binding.query.entity_table
         item_type = binding.item_table
         model = TwoTowerModel(
@@ -517,7 +489,6 @@ class PredictiveQueryPlanner:
             sampler,
             config=self._train_config(resume),
             num_negatives=self.config.num_negatives,
-            loader=loader,
         )
         q_ids, q_times, pos_items = self._explode_pairs(graph, entity_type, item_type, train_labels)
         if len(q_ids) == 0:

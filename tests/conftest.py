@@ -5,6 +5,11 @@ expensive objects (synthetic databases, temporal splits, compiled
 graphs) can be built once per session and shared across modules
 without coupling any test to another test's random stream.
 
+One autouse guard, :func:`_thread_hygiene`, fails any test that leaves
+grad mode disabled on the test thread or leaks a serving thread (the
+micro-batch runner, a canary shadow worker, the protocol writer) into
+the next test.
+
 Two kinds of helpers:
 
 * **Plain factories** (``shop_db``, ``planner_config``,
@@ -17,11 +22,14 @@ Two kinds of helpers:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.datasets import make_ecommerce, make_forum
 from repro.eval import make_temporal_split
+from repro.nn import tensor as nn_tensor
 from repro.pql import PlannerConfig
 from repro.relational import (
     ColumnSpec,
@@ -33,6 +41,40 @@ from repro.relational import (
 )
 
 DAY = 86400
+
+#: Thread-name prefix of every thread the serving layer starts.
+SERVING_THREAD_PREFIX = "serve-"
+#: How long a serving thread may take to exit after its owner closed.
+THREAD_EXIT_GRACE_S = 5.0
+
+
+@pytest.fixture(autouse=True)
+def _thread_hygiene():
+    """Fail a test that leaves grad mode off or a serving thread running.
+
+    Grad mode is per thread, so a test can only leave it off on its own
+    thread, through a ``no_grad`` block that never exited; the guard
+    turns it back on before failing, so one bad test does not cascade.
+    Serving threads started during the test get a grace period to
+    finish shutting down before they count as leaked.
+    """
+    before = set(threading.enumerate())
+    yield
+    problems = []
+    if not nn_tensor.is_grad_enabled():
+        nn_tensor._grad_mode.enabled = True
+        problems.append("grad mode left disabled on the test thread")
+    started = [
+        thread for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith(SERVING_THREAD_PREFIX)
+    ]
+    for thread in started:
+        thread.join(THREAD_EXIT_GRACE_S)
+    leaked = sorted(thread.name for thread in started if thread.is_alive())
+    if leaked:
+        problems.append(f"serving threads still running: {leaked}")
+    if problems:
+        pytest.fail("; ".join(problems), pytrace=False)
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +150,35 @@ def assert_subgraphs_identical(a, b) -> None:
         src_b, dst_b = b.edges_for(edge_type)
         np.testing.assert_array_equal(src_a, src_b)
         np.testing.assert_array_equal(dst_a, dst_b)
+
+
+def assert_graphs_equivalent(a, b) -> None:
+    """Assert two HeteroGraphs agree on every array a model or sampler reads."""
+    from repro.graph import graph_fingerprint
+
+    assert sorted(a.node_types) == sorted(b.node_types)
+    assert sorted(map(str, a.edge_types)) == sorted(map(str, b.edge_types))
+    for node_type in a.node_types:
+        assert a.num_nodes(node_type) == b.num_nodes(node_type)
+        np.testing.assert_array_equal(a.node_times(node_type), b.node_times(node_type))
+    for edge_type in a.edge_types:
+        sa, sb = a._edges[edge_type], b._edges[edge_type]
+        np.testing.assert_array_equal(sa.indptr, sb.indptr)
+        np.testing.assert_array_equal(sa.nbr_src, sb.nbr_src)
+        np.testing.assert_array_equal(sa.nbr_time, sb.nbr_time)
+    for node_type, feats in a.features.items():
+        other = b.features[node_type]
+        np.testing.assert_array_equal(feats.numeric, other.numeric)
+        assert feats.numeric_names == other.numeric_names
+        assert len(feats.categorical) == len(other.categorical)
+        for cat_a, cat_b in zip(feats.categorical, other.categorical):
+            assert cat_a.name == cat_b.name
+            assert cat_a.cardinality == cat_b.cardinality
+            np.testing.assert_array_equal(cat_a.codes, cat_b.codes)
+            assert cat_a.vocabulary == cat_b.vocabulary
+    for node_type, keys in a.node_keys.items():
+        np.testing.assert_array_equal(np.asarray(keys), np.asarray(b.node_keys[node_type]))
+    assert graph_fingerprint(a) == graph_fingerprint(b)
 
 
 def make_split(db: Database, horizon_days: int, num_train_cutoffs: int = 2):

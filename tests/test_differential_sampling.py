@@ -1,26 +1,18 @@
 """Differential tests: every sampling path produces the same answers.
 
-Four paths produce minibatch subgraphs — the reference sampler, the
-vectorized sampler (with and without ``unique``), the LRU-cached
-wrapper, and the multi-process loader.  This suite pins down their
-relationships:
+Three paths produce minibatch subgraphs — the reference sampler, the
+vectorized sampler (with and without ``unique``), and the LRU-cached
+wrapper.  This suite pins down their relationships:
 
 * **temporal validity** holds under every implementation and mode;
 * **distribution equivalence**: without-replacement draws (reference
   and ``unique`` vectorized) select each neighbor with the same
   frequency;
-* **bit-identity**: for one implementation and seed, the serial,
-  cached, and parallel paths yield identical subgraphs, identical
-  training histories, and identical eval metrics — on the e-commerce
-  and forum datasets, end to end;
-* **seed sharding**: the bulk ``sample_shards`` path over the
-  shared-memory store matches serial and cached sampling shard for
-  shard, and a warm cache keeps serving identical results across a
-  worker kill.
+* **bit-identity**: for one implementation and seed, the serial and
+  cached paths yield identical subgraphs, identical training
+  histories, and identical eval metrics — on the e-commerce and forum
+  datasets, end to end.
 """
-
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -29,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from repro.graph import NeighborSampler, build_graph
 from repro.graph.cache import CachedSampler, LRUSubgraphCache
 from repro.graph.fast_sampler import VectorizedNeighborSampler
-from repro.graph.parallel import ParallelSampleLoader
 from repro.pql import PredictiveQueryPlanner
 from tests.conftest import assert_subgraphs_identical, shop_db, tiny_planner_config
 
@@ -106,11 +97,11 @@ class TestDistributionEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Subgraph-level bit-identity of serial / cached / parallel paths
+# Subgraph-level bit-identity of serial / cached paths
 # ----------------------------------------------------------------------
 class TestSubgraphBitIdentity:
     @pytest.mark.parametrize("impl", IMPLS)
-    def test_serial_cached_parallel_identical(self, impl):
+    def test_serial_and_cached_identical(self, impl):
         g = build_graph(shop_db())
         ids = np.array([0, 1], dtype=np.int64)
         times = np.array([400, 10**9], dtype=np.int64)
@@ -118,37 +109,15 @@ class TestSubgraphBitIdentity:
 
         serial = CachedSampler(build_impl(g, impl), base_seed=0)
         cached = CachedSampler(build_impl(g, impl), base_seed=0, cache=LRUSubgraphCache(8))
-        with ParallelSampleLoader(
-            CachedSampler(build_impl(g, impl), base_seed=0, cache=LRUSubgraphCache(8)),
-            num_workers=2,
-        ) as loader:
-            for batch, parallel_sub in loader.iter_epoch("customers", ids, times, batches):
-                serial_sub = serial.sample("customers", ids[batch], times[batch])
-                for trial in range(2):  # second round hits the cache
-                    cached_sub = cached.sample("customers", ids[batch], times[batch])
-                    assert_subgraphs_identical(serial_sub, cached_sub)
-                assert_subgraphs_identical(serial_sub, parallel_sub)
-
-
-# ----------------------------------------------------------------------
-# Seed-sharded bulk sampling over the shared-memory store
-# ----------------------------------------------------------------------
-class TestShardedSeedPath:
-    """``sample_shards``: serial == cached == parallel, shard for shard.
-
-    The loader shards the seed entities contiguously across workers;
-    each shard is one batch under the content-keyed contract, so
-    recomputing the same shard partition serially must be bit-identical.
-    """
+        for batch in batches:
+            serial_sub = serial.sample("customers", ids[batch], times[batch])
+            for trial in range(2):  # second round hits the cache
+                cached_sub = cached.sample("customers", ids[batch], times[batch])
+                assert_subgraphs_identical(serial_sub, cached_sub)
 
     @staticmethod
-    def shard_batches(total, shard_size):
-        return [
-            np.arange(start, min(start + shard_size, total), dtype=np.int64)
-            for start in range(0, total, shard_size)
-        ]
-
-    def check_sharded(self, graph, seed_type, impl="vectorized"):
+    def check_dataset_graph(graph, seed_type, impl="vectorized"):
+        """Serial == cached over every entity of a generated dataset."""
         n = graph.num_nodes(seed_type)
         ids = np.arange(n, dtype=np.int64)
         times = np.full(n, 10**10, dtype=np.int64)
@@ -156,63 +125,21 @@ class TestShardedSeedPath:
         cached = CachedSampler(
             build_impl(graph, impl), base_seed=0, cache=LRUSubgraphCache(16)
         )
-        with ParallelSampleLoader(
-            CachedSampler(build_impl(graph, impl), base_seed=0, cache=LRUSubgraphCache(16)),
-            num_workers=2,
-        ) as loader:
-            shards = loader.sample_shards(seed_type, ids, times)
-            batches = self.shard_batches(n, max(1, -(-n // 2)))
-            assert len(shards) == len(batches)
-            for batch, shard_sub in zip(batches, shards):
-                expected = serial.sample(seed_type, ids[batch], times[batch])
-                assert_subgraphs_identical(expected, shard_sub)
-                for _ in range(2):  # second round is a cache hit
-                    assert_subgraphs_identical(
-                        expected, cached.sample(seed_type, ids[batch], times[batch])
-                    )
+        half = max(1, -(-n // 2))
+        for start in range(0, n, half):
+            batch = np.arange(start, min(start + half, n), dtype=np.int64)
+            expected = serial.sample(seed_type, ids[batch], times[batch])
+            for _ in range(2):  # second round is a cache hit
+                assert_subgraphs_identical(
+                    expected, cached.sample(seed_type, ids[batch], times[batch])
+                )
 
-    def test_sharded_seeds_match_serial_on_ecommerce(self, small_ecommerce_db):
-        self.check_sharded(build_graph(small_ecommerce_db), "customers")
+    def test_serial_and_cached_identical_on_ecommerce(self, small_ecommerce_db):
+        self.check_dataset_graph(build_graph(small_ecommerce_db), "customers")
 
     @pytest.mark.slow
-    def test_sharded_seeds_match_serial_on_forum(self, forum_db):
-        self.check_sharded(build_graph(forum_db), "users")
-
-    def test_warm_cache_survives_worker_kill(self):
-        """Kill the workers after a warm epoch: cache hits keep flowing,
-        and fresh batches fall back in-process — all bit-identical."""
-        g = build_graph(shop_db())
-        ids = np.array([0, 1], dtype=np.int64)
-        times = np.array([400, 10**9], dtype=np.int64)
-        warm_batches = [np.array([0]), np.array([1])]
-        fresh_batches = [np.array([0, 1]), np.array([1, 0])]
-        serial = CachedSampler(build_impl(g, "reference"), base_seed=0)
-        loader = ParallelSampleLoader(
-            CachedSampler(build_impl(g, "reference"), base_seed=0, cache=LRUSubgraphCache(16)),
-            num_workers=2,
-        )
-        try:
-            if loader._executor is None:
-                pytest.skip("worker pool unavailable on this host")
-            first = {
-                tuple(batch.tolist()): sub
-                for batch, sub in loader.iter_epoch("customers", ids, times, warm_batches)
-            }
-            for pid in list(loader._executor._processes):
-                os.kill(pid, signal.SIGKILL)
-            # Replay the warm epoch: every batch is a cache hit, so the
-            # dead pool is never touched and results are unchanged.
-            for batch, sub in loader.iter_epoch("customers", ids, times, warm_batches):
-                assert_subgraphs_identical(first[tuple(batch.tolist())], sub)
-            # Fresh batches must dispatch, hit the broken pool, and
-            # degrade to in-process sampling — still bit-identical.
-            for batch, sub in loader.iter_epoch("customers", ids, times, fresh_batches):
-                assert_subgraphs_identical(
-                    serial.sample("customers", ids[batch], times[batch]), sub
-                )
-            assert loader._executor is None
-        finally:
-            loader.close()
+    def test_serial_and_cached_identical_on_forum(self, forum_db):
+        self.check_dataset_graph(build_graph(forum_db), "users")
 
 
 # ----------------------------------------------------------------------
@@ -230,19 +157,15 @@ def history_of(model):
 
 
 class TestPipelineBitIdentity:
-    def test_cached_and_parallel_match_reference_on_ecommerce(
+    def test_cached_matches_reference_on_ecommerce(
         self, small_ecommerce_db, small_ecommerce_split
     ):
         db, split = small_ecommerce_db, small_ecommerce_split
         base = fit_once(db, split, ECOM_QUERY)
         cached = fit_once(db, split, ECOM_QUERY, cache_size=256)
-        parallel = fit_once(db, split, ECOM_QUERY, cache_size=256, num_workers=2)
-        workers4 = fit_once(db, split, ECOM_QUERY, num_workers=4, prefetch_batches=4)
 
-        expected = base.evaluate(split.test_cutoff)
-        for model in (cached, parallel, workers4):
-            assert model.evaluate(split.test_cutoff) == expected
-            assert history_of(model) == history_of(base)
+        assert cached.evaluate(split.test_cutoff) == base.evaluate(split.test_cutoff)
+        assert history_of(cached) == history_of(base)
         stats = cached.sampler_cache_stats()
         assert stats is not None and stats["hits"] > 0
 
@@ -252,33 +175,28 @@ class TestPipelineBitIdentity:
     ):
         db, split = small_ecommerce_db, small_ecommerce_split
         base = fit_once(db, split, ECOM_QUERY, sampler_impl=impl)
-        parallel = fit_once(
-            db, split, ECOM_QUERY, sampler_impl=impl, cache_size=256, num_workers=2
-        )
-        assert parallel.evaluate(split.test_cutoff) == base.evaluate(split.test_cutoff)
-        assert history_of(parallel) == history_of(base)
+        cached = fit_once(db, split, ECOM_QUERY, sampler_impl=impl, cache_size=256)
+        assert cached.evaluate(split.test_cutoff) == base.evaluate(split.test_cutoff)
+        assert history_of(cached) == history_of(base)
 
     @pytest.mark.slow
     def test_link_task_is_path_invariant(self, small_ecommerce_db, small_ecommerce_split):
         db, split = small_ecommerce_db, small_ecommerce_split
         base = fit_once(db, split, ECOM_LINK_QUERY)
-        parallel = fit_once(db, split, ECOM_LINK_QUERY, cache_size=256, num_workers=2)
-        assert parallel.evaluate(split.test_cutoff, k=10) == base.evaluate(
+        cached = fit_once(db, split, ECOM_LINK_QUERY, cache_size=256)
+        assert cached.evaluate(split.test_cutoff, k=10) == base.evaluate(
             split.test_cutoff, k=10
         )
-        assert history_of(parallel) == history_of(base)
+        assert history_of(cached) == history_of(base)
 
     @pytest.mark.slow
-    def test_cached_and_parallel_match_reference_on_forum(self, forum_db, forum_split):
+    def test_cached_matches_reference_on_forum(self, forum_db, forum_split):
         base = fit_once(forum_db, forum_split, FORUM_QUERY)
         cached = fit_once(forum_db, forum_split, FORUM_QUERY, cache_size=256)
-        parallel = fit_once(
-            forum_db, forum_split, FORUM_QUERY, cache_size=256, num_workers=2
+        assert cached.evaluate(forum_split.test_cutoff) == base.evaluate(
+            forum_split.test_cutoff
         )
-        expected = base.evaluate(forum_split.test_cutoff)
-        for model in (cached, parallel):
-            assert model.evaluate(forum_split.test_cutoff) == expected
-            assert history_of(model) == history_of(base)
+        assert history_of(cached) == history_of(base)
 
 
 class TestBatchedPrediction:

@@ -1,10 +1,13 @@
 """Autograd engine tests, including finite-difference gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import relu_values
 
 
 def numeric_grad(func, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -229,6 +232,88 @@ class TestGraphMechanics:
             out = out + 1.0
         out.backward()
         np.testing.assert_allclose(t.grad, [1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_values_bit_identical_to_masked_where(dtype):
+    specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.5,
+                np.finfo(dtype).tiny, -np.finfo(dtype).tiny,
+                np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).smallest_subnormal]
+    values = np.concatenate([
+        np.array(specials, dtype=dtype),
+        np.random.default_rng(0).standard_normal(1000).astype(dtype),
+    ])
+    got = relu_values(values)
+    want = np.where(values > 0, values, 0.0)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestGradModeIsPerThread:
+    """``no_grad`` switches graph construction off for its own thread only."""
+
+    @staticmethod
+    def _run(*targets):
+        threads = [threading.Thread(target=target) for target in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_overlapping_no_grad_blocks_restore_grad_mode(self):
+        # A enters, B enters, A exits, B exits.  With one process-wide
+        # flag, B saved A's False and restored it last, leaving graph
+        # construction off for every thread.
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+
+        def thread_a():
+            with no_grad():
+                a_entered.set()
+                b_entered.wait(10)
+            a_exited.set()
+
+        def thread_b():
+            a_entered.wait(10)
+            with no_grad():
+                b_entered.set()
+                a_exited.wait(10)
+
+        self._run(thread_a, thread_b)
+        assert is_grad_enabled()
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        (t * 3.0).sum().backward()
+        np.testing.assert_allclose(t.grad, [3.0, 3.0])
+
+    def test_other_threads_no_grad_does_not_reach_this_thread(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def inference():
+            with no_grad():
+                entered.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=inference)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            t = Tensor([1.0], requires_grad=True)
+            out = t * 2.0
+            assert out.requires_grad
+            out.backward()
+            np.testing.assert_allclose(t.grad, [2.0])
+        finally:
+            release.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_new_thread_starts_with_grad_enabled(self):
+        seen = []
+        with no_grad():
+            self._run(lambda: seen.append(is_grad_enabled()))
+            assert not is_grad_enabled()
+        assert seen == [True]
+        assert is_grad_enabled()
 
 
 @settings(max_examples=30, deadline=None)
