@@ -1,31 +1,23 @@
 """Vectorized time-respecting neighbor sampling.
 
-:class:`VectorizedNeighborSampler` produces the same kind of
-:class:`~repro.graph.sampler.SampledSubgraph` as the reference
-:class:`~repro.graph.sampler.NeighborSampler`, but batches the
-per-node work into numpy kernels:
-
-* time-valid neighbor counts for a whole frontier are computed with
-  one ``searchsorted`` per (edge type, node) — no candidate arrays are
-  materialized;
-* neighbor picks are drawn **with replacement** as vectorized random
-  offsets into each node's valid CSR prefix, then deduplicated per
-  (edge, destination) pair.
-
-Sampling with replacement is the one semantic difference from the
-reference sampler: nodes whose valid degree exceeds the fanout receive
-a multiset sample (duplicates dropped), so the expected number of
-distinct neighbors is slightly below the fanout.  In exchange, the hot
-loop is ~an order of magnitude faster on wide frontiers, which is what
-the throughput benchmark measures.
+:class:`VectorizedNeighborSampler` shares the reference
+:class:`~repro.graph.sampler.NeighborSampler`'s seed handling, valid
+counts and interning, and differs in how it draws: where a node's valid
+degree exceeds the fanout, it draws ``fanout`` random offsets into the
+node's valid CSR prefix **with replacement**, for all such nodes of an
+edge type at once.  Duplicate picks stay as repeated edges, so the
+expected number of distinct neighbors is slightly below the fanout.  In
+exchange no generator call is made per (node, edge type) pair: on the
+epoch of ``benchmarks/bench_sampling.py`` (batch 256, fanouts [4, 4])
+it samples about 2.2x the seeds per second of the array reference
+sampler (``vectorized_vs_reference`` in ``BENCH_sampling.json``).
 
 ``unique=True`` removes that bias: high-degree nodes draw **without
 replacement** (exactly ``fanout`` distinct neighbor positions, like
 the reference sampler), vectorized by grouping nodes with equal valid
 degree and argpartitioning a matrix of uniform keys.  The cost scales
 with the degree values themselves, so the mode is intended for
-small-to-moderate degrees; with-replacement stays the default for
-wide frontiers.
+small-to-moderate degrees.
 
 The temporal-correctness invariant is identical: nothing newer than
 the seed time is ever reachable.
@@ -38,14 +30,20 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.graph.hetero import EdgeType, HeteroGraph
-from repro.graph.sampler import SampledSubgraph
-from repro.obs import trace as obs_trace
-from repro.resilience.faults import fault_point
+from repro.graph.sampler import SampledSubgraph, _Block, _HopSampler, _InstanceTable
 
 __all__ = ["VectorizedNeighborSampler"]
 
 
-class VectorizedNeighborSampler:
+def _concat_blocks(blocks: List[_Block]) -> _Block:
+    if len(blocks) == 1:
+        return blocks[0]
+    # Node columns are 1-D; ``counts`` has one row per edge type.
+    columns = list(zip(*blocks))[1:]
+    return _Block(blocks[0].node_type, *(np.concatenate(c, axis=-1) for c in columns))
+
+
+class VectorizedNeighborSampler(_HopSampler):
     """Drop-in faster sampler (see module docstring for semantics)."""
 
     def __init__(
@@ -56,162 +54,52 @@ class VectorizedNeighborSampler:
         time_respecting: bool = True,
         unique: bool = False,
     ) -> None:
-        if any(f <= 0 for f in fanouts):
-            raise ValueError(f"fanouts must be positive, got {list(fanouts)}")
-        self.graph = graph
-        self.fanouts = list(fanouts)
-        self.rng = rng
-        self.time_respecting = time_respecting
+        super().__init__(graph, fanouts, rng, time_respecting)
         #: Exact-fanout mode: draw without replacement on high-degree
         #: nodes (see module docstring for the cost trade-off).
         self.unique = unique
-        self._edge_types_into: Dict[str, List[EdgeType]] = {
-            node_type: graph.edge_types_into(node_type) for node_type in graph.node_types
-        }
-        #: (edge type, cutoff) -> cumulative valid-edge counts.  Batches
-        #: share a handful of cutoffs, so this converts per-node binary
-        #: searches into two gathers.
-        self._cum_valid_cache: Dict[Tuple[str, int], np.ndarray] = {}
 
-    @property
-    def num_hops(self) -> int:
-        """Sampling depth."""
-        return len(self.fanouts)
-
-    # ------------------------------------------------------------------
-    # Vectorized primitives
-    # ------------------------------------------------------------------
-    def _cum_valid(self, edge_type: EdgeType, cutoff: int) -> np.ndarray:
-        """Prefix sums of the time-valid indicator over one edge store."""
-        key = (str(edge_type), int(cutoff))
-        cached = self._cum_valid_cache.get(key)
-        if cached is None:
-            store = self.graph._edges[edge_type]
-            cached = np.concatenate(
-                [[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)]
-            )
-            if len(self._cum_valid_cache) > 64:
-                self._cum_valid_cache.clear()
-            self._cum_valid_cache[key] = cached
-        return cached
-
-    def _valid_counts(
-        self, edge_type: EdgeType, dsts: np.ndarray, times: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(CSR start offsets, time-valid neighbor count) per dst node.
-
-        Valid neighbors are a prefix of each CSR segment (lists are
-        time-sorted), so the count doubles as the sampling range.
-        """
-        store = self.graph._edges[edge_type]
-        starts = store.indptr[dsts]
-        stops = store.indptr[dsts + 1]
-        if not self.time_respecting:
-            return starts, stops - starts
-        counts = np.empty(len(dsts), dtype=np.int64)
-        for cutoff in np.unique(times):
-            mask = times == cutoff
-            csum = self._cum_valid(edge_type, int(cutoff))
-            counts[mask] = csum[stops[mask]] - csum[starts[mask]]
-        return starts, counts
-
-    def sample(
-        self,
-        seed_type: str,
-        seed_ids: np.ndarray,
-        seed_times: np.ndarray,
-    ) -> SampledSubgraph:
-        """Sample the merged subgraph around the seeds."""
-        fault_point("sampler.sample")
-        seed_ids = np.asarray(seed_ids, dtype=np.int64)
-        seed_times = np.asarray(seed_times, dtype=np.int64)
-        if seed_ids.shape != seed_times.shape:
-            raise ValueError("seed_ids and seed_times must have the same shape")
-
-        subgraph = SampledSubgraph(seed_type)
-        # Frontier kept as per-type arrays for vectorized expansion.
-        frontier: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-        seed_locals = np.empty(len(seed_ids), dtype=np.int64)
-        new_origs, new_times, new_locals = [], [], []
-        for i, (orig, time) in enumerate(zip(seed_ids.tolist(), seed_times.tolist())):
-            local, is_new = subgraph.add_node(seed_type, orig, time)
-            seed_locals[i] = local
-            if is_new:
-                new_origs.append(orig)
-                new_times.append(time)
-                new_locals.append(local)
-        subgraph.seed_locals = seed_locals
-        if new_origs:
-            origs = np.asarray(new_origs, dtype=np.int64)
-            times = np.asarray(new_times, dtype=np.int64)
-            locals_ = np.asarray(new_locals, dtype=np.int64)
-            self._record_degrees(subgraph, seed_type, origs, times, locals_)
-            frontier[seed_type] = (origs, times, locals_)
-
+    def _expand(
+        self, subgraph: SampledSubgraph, table: _InstanceTable, frontier: List[_Block], fanout: int
+    ) -> Tuple[List[_Block], int]:
+        """Sample one hop, one (frontier type, edge type) at a time."""
+        reached: Dict[str, List[_Block]] = {}
         truncations = 0
-        for fanout in self.fanouts:
-            next_frontier: Dict[str, List[Tuple[int, int, int]]] = {}
-            for node_type, (origs, times, locals_) in frontier.items():
-                for edge_type in self._edge_types_into[node_type]:
-                    truncations += self._expand_edge_type(
-                        subgraph, edge_type, origs, times, locals_, fanout, next_frontier
-                    )
-            frontier = {
-                node_type: (
-                    np.asarray([o for o, _, _ in entries], dtype=np.int64),
-                    np.asarray([t for _, t, _ in entries], dtype=np.int64),
-                    np.asarray([l for _, _, l in entries], dtype=np.int64),
+        for block in frontier:
+            for k, edge_type in enumerate(self._edge_types_into[block.node_type]):
+                truncations += self._expand_edge_type(
+                    subgraph, table, edge_type, block, block.counts[k], fanout, reached
                 )
-                for node_type, entries in next_frontier.items()
-                if entries
-            }
-            for node_type, (origs, times, locals_) in frontier.items():
-                self._record_degrees(subgraph, node_type, origs, times, locals_)
-        if obs_trace.enabled():
-            obs_trace.add_counter("sampler.calls")
-            obs_trace.add_counter("sampler.seeds", len(seed_ids))
-            obs_trace.add_counter("sampler.nodes_sampled", subgraph.total_nodes())
-            obs_trace.add_counter("sampler.edges_sampled", subgraph.total_edges())
-            obs_trace.add_counter("sampler.fanout_truncations", truncations)
-        return subgraph.finalize()
+        return [_concat_blocks(blocks) for blocks in reached.values() if blocks], truncations
 
     def _expand_edge_type(
-        self,
-        subgraph: SampledSubgraph,
-        edge_type: EdgeType,
-        dst_origs: np.ndarray,
-        ctx_times: np.ndarray,
-        dst_locals: np.ndarray,
-        fanout: int,
-        next_frontier: Dict[str, List[Tuple[int, int, int]]],
+        self, subgraph: SampledSubgraph, table: _InstanceTable, edge_type: EdgeType,
+        block: _Block, counts: np.ndarray, fanout: int, reached: Dict[str, List[_Block]],
     ) -> int:
-        """Expand one edge type; returns the fanout-truncated node count."""
+        """Expand one edge type; returns the fanout-truncated node count.
+
+        ``counts`` are the destinations' valid in-degrees under
+        ``edge_type``: valid neighbors are a prefix of each CSR segment,
+        so a count doubles as the sampling range.
+        """
         store = self.graph._edges[edge_type]
-        starts, counts = self._valid_counts(edge_type, dst_origs, ctx_times)
-        has_neighbors = counts > 0
-        if not has_neighbors.any():
+        starts = store.indptr[block.origs]
+        rows = np.flatnonzero(counts)
+        if not len(rows):
             return 0
-        rows = np.flatnonzero(has_neighbors)
         small = rows[counts[rows] <= fanout]
         large = rows[counts[rows] > fanout]
 
-        # Flat arrays of (neighbor, ctx time, dst local) edge candidates.
-        nbr_blocks: List[np.ndarray] = []
-        ctx_blocks: List[np.ndarray] = []
-        dst_blocks: List[np.ndarray] = []
+        # Candidate slots: the frontier row and the CSR position of each.
+        slot_rows: List[np.ndarray] = []
+        positions: List[np.ndarray] = []
         # Low-degree nodes: take every valid neighbor (exact, like the
         # reference sampler), gathered with one repeat-based index.
         if len(small):
             lengths = counts[small]
-            total = int(lengths.sum())
-            if total:
-                segment_starts = np.cumsum(lengths) - lengths
-                intra = np.arange(total) - np.repeat(segment_starts, lengths)
-                flat_index = np.repeat(starts[small], lengths) + intra
-                nbr_blocks.append(store.nbr_src[flat_index])
-                ctx_blocks.append(np.repeat(ctx_times[small], lengths))
-                dst_blocks.append(np.repeat(dst_locals[small], lengths))
+            intra = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            slot_rows.append(np.repeat(small, lengths))
+            positions.append(np.repeat(starts[small], lengths) + intra)
         # High-degree nodes: vectorized with-replacement draw.  Exact
         # duplicates of (edge, dst) pairs are acceptable — they only
         # reweight one message slightly — so no per-row dedup pass.
@@ -225,58 +113,25 @@ class VectorizedNeighborSampler:
                 rows_d = large[large_counts == degree]
                 keys = self.rng.random((len(rows_d), int(degree)))
                 offsets = np.argpartition(keys, fanout - 1, axis=1)[:, :fanout]
-                picks = store.nbr_src[starts[rows_d][:, None] + offsets]
-                nbr_blocks.append(picks.reshape(-1))
-                ctx_blocks.append(np.repeat(ctx_times[rows_d], fanout))
-                dst_blocks.append(np.repeat(dst_locals[rows_d], fanout))
+                slot_rows.append(np.repeat(rows_d, fanout))
+                positions.append((starts[rows_d][:, None] + offsets).reshape(-1))
         elif len(large):
             offsets = (
                 self.rng.random((len(large), fanout)) * counts[large][:, None]
             ).astype(np.int64)
-            picks = store.nbr_src[starts[large][:, None] + offsets]
-            nbr_blocks.append(picks.reshape(-1))
-            ctx_blocks.append(np.repeat(ctx_times[large], fanout))
-            dst_blocks.append(np.repeat(dst_locals[large], fanout))
+            slot_rows.append(np.repeat(large, fanout))
+            positions.append((starts[large][:, None] + offsets).reshape(-1))
+        rows = np.concatenate(slot_rows)
+        nbrs = store.nbr_src[np.concatenate(positions)]
+        ctxs, dsts = block.ctxs[rows], block.locals[rows]
 
-        nbrs = np.concatenate(nbr_blocks)
-        ctxs = np.concatenate(ctx_blocks)
-        dsts = np.concatenate(dst_blocks)
-
-        # Bulk interning: python-level work scales with *unique* node
-        # instances instead of with edges.  The (node, ctx) pair is
-        # packed into one int64 key (ctx values per batch are few).
-        ctx_values, ctx_ranks = np.unique(ctxs, return_inverse=True)
-        packed = nbrs * len(ctx_values) + ctx_ranks
-        unique_keys, first_pos, inverse = np.unique(
-            packed, return_index=True, return_inverse=True
-        )
-        entries = next_frontier.setdefault(edge_type.src, [])
-        unique_locals = np.empty(len(unique_keys), dtype=np.int64)
-        for i, pos in enumerate(first_pos.tolist()):
-            nbr, ctx = int(nbrs[pos]), int(ctxs[pos])
-            local, is_new = subgraph.add_node(edge_type.src, nbr, ctx)
-            unique_locals[i] = local
-            if is_new:
-                entries.append((nbr, ctx, local))
-        subgraph.add_edges(edge_type, unique_locals[inverse], dsts)
+        # Bulk interning: locals go to new instances in (node, ctx) order.
+        entries = reached.setdefault(edge_type.src, [])
+        visit = np.lexsort((ctxs, nbrs)).argsort()
+        locals_, new = table.intern(edge_type.src, nbrs, ctxs, visit)
+        if len(new):
+            entries.append(self._new_block(
+                subgraph, edge_type.src, nbrs[new], ctxs[new], locals_[new], locals_[new]
+            ))
+        subgraph.add_edges(edge_type, locals_, dsts)
         return len(large)
-
-    def _record_degrees(
-        self,
-        subgraph: SampledSubgraph,
-        node_type: str,
-        origs: np.ndarray,
-        times: np.ndarray,
-        locals_: np.ndarray,
-    ) -> None:
-        incoming = self._edge_types_into[node_type]
-        if not incoming:
-            return
-        degrees = np.zeros((len(origs), len(incoming)))
-        for j, edge_type in enumerate(incoming):
-            _, counts = self._valid_counts(edge_type, origs, times)
-            degrees[:, j] = counts
-        # New nodes of one hop are interned sequentially per type, so
-        # the sorted locals form the next contiguous block.
-        order = np.argsort(locals_)
-        subgraph.set_degrees_block(node_type, locals_[order], degrees[order])

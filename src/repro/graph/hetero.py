@@ -51,7 +51,9 @@ class _EdgeStore:
     ``times`` next to the CSR arrays built from them.
     """
 
-    __slots__ = ("src_ids", "dst_ids", "times", "indptr", "nbr_src", "nbr_time")
+    __slots__ = (
+        "src_ids", "dst_ids", "times", "indptr", "nbr_src", "nbr_time", "_time_index"
+    )
 
     def __init__(
         self,
@@ -72,6 +74,7 @@ class _EdgeStore:
         self.nbr_time = self.times[order]
         counts = np.bincount(sorted_dst, minlength=num_dst)
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self._time_index = None
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Raw (src, dst, time) arrays in insertion order."""
@@ -101,6 +104,26 @@ class _EdgeStore:
         """Number of incoming neighbors of ``dst`` with edge time <= ``time``."""
         start, stop = self.indptr[dst], self.indptr[dst + 1]
         return int(np.searchsorted(self.nbr_time[start:stop], time, side="right"))
+
+    def counts_before(self, dsts: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """:meth:`count_before` for parallel arrays of ``dsts`` and ``times``.
+
+        One ``searchsorted`` over a sorted ``(dst, time rank)`` key per
+        CSR slot, built on first use.  The key belongs to this store:
+        :meth:`merged` returns a store without one.
+        """
+        index = self._time_index
+        # grow_node_type() pads indptr in place: rebuild for the new nodes.
+        if index is None or len(index[1]) < len(self.indptr):
+            values = np.unique(self.nbr_time)
+            stride = len(values) + 1
+            dst_base = np.arange(0, len(self.indptr) * stride, stride)
+            key = dst_base[:-1].repeat(np.diff(self.indptr))
+            key += values.searchsorted(self.nbr_time, "right")
+            index = self._time_index = (values, dst_base, key)
+        values, dst_base, key = index
+        query = dst_base[dsts] + values.searchsorted(times, "right")
+        return key.searchsorted(query, "right") - self.indptr[dsts]
 
     def degree(self) -> np.ndarray:
         """In-degree per destination node."""
@@ -152,6 +175,7 @@ class _EdgeStore:
         store.src_ids = np.concatenate([self.src_ids, d_src])
         store.dst_ids = np.concatenate([self.dst_ids, d_dst])
         store.times = np.concatenate([self.times, d_times])
+        store._time_index = None
         return store
 
 

@@ -11,11 +11,16 @@ Node *instances* in a sampled subgraph are keyed by
 two different seed times is two instances, because its valid
 neighborhood differs.  Within one batch, seeds usually share a few
 distinct cutoff times, so deduplication keeps subgraphs compact.
+
+:class:`NeighborSampler` expands a whole hop at once with numpy, yet
+draws exactly what the per-node loop it replaced draws, down to the
+generator's final state (the loop is kept as ``tests/sampler_oracle.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,25 +28,25 @@ from repro.graph.hetero import EdgeType, HeteroGraph
 from repro.obs import trace as obs_trace
 from repro.resilience.faults import fault_point
 
-__all__ = ["SampledSubgraph", "NeighborSampler"]
+__all__ = ["SampledSubgraph", "NeighborSampler", "in_degrees"]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_first = itemgetter(0)
 
 
-def _concat_parts(parts: List[object]) -> np.ndarray:
-    """Collapse a mixed list of int lists / int64 arrays into one array."""
+def _concat_parts(parts: List[np.ndarray]) -> np.ndarray:
+    """Collapse a list of blocks into one array (along the first axis)."""
     if not parts:
-        return np.empty(0, dtype=np.int64)
-    if len(parts) == 1:
-        return np.asarray(parts[0], dtype=np.int64)
-    return np.concatenate([np.asarray(p, dtype=np.int64) for p in parts])
+        return _EMPTY
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class SampledSubgraph:
     """The result of one sampling call.
 
-    Internally, node/edge/degree columns are stored as *parts* — plain
-    python lists fed by the scalar reference-sampler API plus numpy
-    blocks appended by the vectorized sampler — and collapsed into
-    contiguous int64/float64 arrays by :meth:`finalize`.
+    Internally, node/edge/degree columns are stored as lists of numpy
+    blocks, one per bulk append, and collapsed into contiguous
+    int64/float64 arrays by :meth:`finalize`.
 
     Attributes
     ----------
@@ -54,111 +59,49 @@ class SampledSubgraph:
 
     def __init__(self, seed_type: str) -> None:
         self.seed_type = seed_type
-        self.seed_locals: np.ndarray = np.empty(0, dtype=np.int64)
-        # Per node type: parts of original ids / context times.  A part
-        # is either a python list (scalar appends) or an int64 array.
-        self._orig: Dict[str, List[object]] = {}
-        self._ctx_time: Dict[str, List[object]] = {}
-        self._index: Dict[str, Dict[Tuple[int, int], int]] = {}
-        # Per edge type: (src parts, dst parts).
-        self._edges: Dict[EdgeType, Tuple[List[object], List[object]]] = {}
-        # Per node type: parts of degree rows — a part is either one
-        # row (list of floats) or a 2D float64 block.
-        self._degrees: Dict[str, List[object]] = {}
-        self._degree_rows: Dict[str, int] = {}
+        self.seed_locals: np.ndarray = _EMPTY
+        # Per node type: blocks of original ids / context times / degree rows.
+        self._orig: Dict[str, List[np.ndarray]] = {}
+        self._ctx_time: Dict[str, List[np.ndarray]] = {}
+        self._degrees: Dict[str, List[np.ndarray]] = {}
+        # Per edge type: (src blocks, dst blocks).
+        self._edges: Dict[EdgeType, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
 
-    # -- construction (used by the sampler) ----------------------------
-    def add_node(self, node_type: str, orig_id: int, ctx_time: int) -> Tuple[int, bool]:
-        """Intern a node instance; returns (local index, was-new)."""
-        index = self._index.setdefault(node_type, {})
-        key = (orig_id, ctx_time)
-        local = index.get(key)
-        if local is not None:
-            return local, False
-        local = len(index)
-        index[key] = local
-        self._orig.setdefault(node_type, [[]])[-1].append(orig_id)
-        self._ctx_time.setdefault(node_type, [[]])[-1].append(ctx_time)
-        return local, True
+    # -- construction (used by the samplers) ----------------------------
+    def add_nodes(self, node_type: str, origs, ctx_times, degrees=None) -> None:
+        """Append new node instances; their locals continue the type's numbering.
 
-    def set_degrees(self, node_type: str, local: int, degrees: List[float]) -> None:
-        """Record time-valid in-degrees (one per incoming edge type)."""
-        rows = self._degree_rows.get(node_type, 0)
-        if local != rows:
-            raise ValueError("degrees must be recorded in node-creation order")
-        self._degrees.setdefault(node_type, []).append(degrees)
-        self._degree_rows[node_type] = rows + 1
-
-    def set_degrees_block(
-        self, node_type: str, locals_: np.ndarray, degrees: np.ndarray
-    ) -> None:
-        """Bulk variant of :meth:`set_degrees`.
-
-        ``locals_`` must be the next contiguous ascending run of local
-        indices (the vectorized sampler interns a hop's new nodes
-        sequentially, so this always holds there).
+        ``degrees`` has shape ``(n, k)``, one column per edge type into
+        ``node_type`` (see :meth:`node_degrees`).  An empty block is
+        ignored: a type appears in :attr:`node_types` with its first node.
         """
-        if len(locals_) == 0:
+        if len(origs) == 0:
             return
-        rows = self._degree_rows.get(node_type, 0)
-        expected = np.arange(rows, rows + len(locals_), dtype=np.int64)
-        if not np.array_equal(np.asarray(locals_, dtype=np.int64), expected):
-            raise ValueError("degree blocks must cover the next contiguous locals")
-        block = np.asarray(degrees, dtype=np.float64)
-        self._degrees.setdefault(node_type, []).append(block)
-        self._degree_rows[node_type] = rows + len(locals_)
-
-    def add_edge(self, edge_type: EdgeType, src_local: int, dst_local: int) -> None:
-        """Record one edge between local node instances."""
-        src_parts, dst_parts = self._edges.setdefault(edge_type, ([], []))
-        if not src_parts or not isinstance(src_parts[-1], list):
-            src_parts.append([])
-            dst_parts.append([])
-        src_parts[-1].append(src_local)
-        dst_parts[-1].append(dst_local)
+        self._orig.setdefault(node_type, []).append(np.asarray(origs, dtype=np.int64))
+        self._ctx_time.setdefault(node_type, []).append(np.asarray(ctx_times, dtype=np.int64))
+        if degrees is not None and degrees.shape[1]:
+            block = np.ascontiguousarray(degrees, dtype=np.float64)
+            self._degrees.setdefault(node_type, []).append(block)
 
     def add_edges(self, edge_type: EdgeType, src_locals, dst_locals) -> None:
-        """Bulk variant of :meth:`add_edge` (appends one array block)."""
+        """Append one block of edges between local node instances."""
         src_parts, dst_parts = self._edges.setdefault(edge_type, ([], []))
         src_parts.append(np.asarray(src_locals, dtype=np.int64))
         dst_parts.append(np.asarray(dst_locals, dtype=np.int64))
 
     def finalize(self) -> "SampledSubgraph":
-        """Collapse part lists into contiguous arrays (idempotent).
+        """Collapse block lists into contiguous arrays (idempotent).
 
         Samplers call this once sampling ends; afterwards every
         accessor returns (views of) a single contiguous array and the
         subgraph is cheap to cache, compare, and serialize.
         """
-        for store in (self._orig, self._ctx_time):
+        for store in (self._orig, self._ctx_time, self._degrees):
             for node_type, parts in store.items():
                 store[node_type] = [_concat_parts(parts)]
         for edge_type, (src_parts, dst_parts) in self._edges.items():
-            self._edges[edge_type] = (
-                [_concat_parts(src_parts)],
-                [_concat_parts(dst_parts)],
-            )
-        for node_type, parts in self._degrees.items():
-            self._degrees[node_type] = [self._collapse_degrees(parts)]
+            self._edges[edge_type] = ([_concat_parts(src_parts)], [_concat_parts(dst_parts)])
         return self
-
-    @staticmethod
-    def _collapse_degrees(parts: List[object]) -> np.ndarray:
-        if len(parts) == 1 and isinstance(parts[0], np.ndarray):
-            return np.asarray(parts[0], dtype=np.float64)
-        blocks: List[np.ndarray] = []
-        pending: List[List[float]] = []
-        for part in parts:
-            if isinstance(part, np.ndarray):
-                if pending:
-                    blocks.append(np.asarray(pending, dtype=np.float64))
-                    pending = []
-                blocks.append(np.asarray(part, dtype=np.float64))
-            else:
-                pending.append(part)
-        if pending:
-            blocks.append(np.asarray(pending, dtype=np.float64))
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
     # -- read access (used by the model) -------------------------------
     @property
@@ -195,8 +138,8 @@ class SampledSubgraph:
 
     def edges_for(self, edge_type: EdgeType) -> Tuple[np.ndarray, np.ndarray]:
         """(src_local, dst_local) arrays for one edge type."""
-        src_parts, dst_parts = self._edges.get(edge_type, ((), ()))
-        return _concat_parts(list(src_parts)), _concat_parts(list(dst_parts))
+        src_parts, dst_parts = self._edges.get(edge_type, ([], []))
+        return _concat_parts(src_parts), _concat_parts(dst_parts)
 
     def node_degrees(self, node_type: str) -> np.ndarray:
         """Time-valid in-degrees per instance, shape (n, k).
@@ -205,42 +148,130 @@ class SampledSubgraph:
         full graph, in :meth:`HeteroGraph.edge_types_into` order.
         Types with no incoming relations return shape (n, 0).
         """
-        parts = self._degrees.get(node_type, [])
+        parts = self._degrees.get(node_type)
         if not parts:
             return np.zeros((self.num_nodes(node_type), 0))
-        return self._collapse_degrees(parts)
+        return _concat_parts(parts)
 
     def zero_degree_channel(self, node_type: str, channel: int) -> None:
         """Zero one in-degree channel across every node of ``node_type``.
 
         Used by relation knockouts (``explain_relations``): removing an
-        edge type's messages must also blank its degree feature, and
-        callers cannot poke ``_degrees`` directly because its parts mix
-        per-node rows with 2-D blocks.
+        edge type's messages must also blank its degree feature.
         """
         for part in self._degrees.get(node_type, []):
-            if isinstance(part, np.ndarray) and part.ndim == 2:
-                part[:, channel] = 0.0
-            else:
-                part[channel] = 0.0
+            part[:, channel] = 0.0
 
 
-class NeighborSampler:
-    """Samples L-hop time-respecting neighborhoods.
+def in_degrees(
+    graph: HeteroGraph,
+    incoming: Sequence[EdgeType],
+    origs: np.ndarray,
+    times: np.ndarray,
+    time_respecting: bool = True,
+) -> np.ndarray:
+    """Valid in-degree of each node under each of the ``incoming`` edge types.
 
-    Parameters
-    ----------
-    graph:
-        The full heterogeneous graph.
-    fanouts:
-        Neighbors sampled per edge type at each hop; ``len(fanouts)``
-        is the number of hops (use the model depth).
-    rng:
-        Random generator (sampling without replacement per neighbor
-        list).
-    time_respecting:
-        When false, ignores timestamps entirely — the *leaky* variant
-        used by the Figure 3 ablation.  Never use in production.
+    Shape ``(len(incoming), len(origs))``, int64.  Valid neighbors are a
+    prefix of each time-sorted CSR segment, so a count is also the
+    node's sampling range.  With ``time_respecting`` off, counts ignore
+    ``times`` (the leaky ablation).
+    """
+    counts = np.empty((len(incoming), len(origs)), dtype=np.int64)
+    for row, edge_type in enumerate(incoming):
+        store = graph._edges[edge_type]
+        if time_respecting:
+            counts[row] = store.counts_before(origs, times)
+        else:
+            counts[row] = store.indptr[origs + 1] - store.indptr[origs]
+    return counts
+
+
+class _InstanceTable:
+    """Numbers node instances ``(orig id, context time)`` per node type.
+
+    An instance is one int64 key, the original id times the number of
+    distinct context times plus the context time's rank; context times
+    are the call's seed times.  Per type, the keys seen so far are kept
+    sorted next to their locals.
+    """
+
+    def __init__(self, seed_times: np.ndarray) -> None:
+        self.ctx_values = np.unique(seed_times) if len(seed_times) > 1 else seed_times
+        self._tables: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def intern(
+        self, node_type: str, origs: np.ndarray, ctxs: np.ndarray, visit=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(local per instance, indices of the instances that are new).
+
+        New instances take the type's next locals by first occurrence,
+        in the order of the ``visit`` keys when given; the returned
+        indices follow that creation order.  ``ctxs`` is not read when
+        the call has a single context time.
+        """
+        keys = origs
+        if len(self.ctx_values) > 1:
+            keys = origs * len(self.ctx_values) + self.ctx_values.searchsorted(ctxs)
+        table, known = self._tables.get(node_type, (_EMPTY, _EMPTY))
+        base = len(known)
+        fresh, miss = keys, None
+        if base:
+            pos = table.searchsorted(keys)
+            locals_ = known.take(pos, mode="clip")
+            miss = (table.take(pos, mode="clip") != keys).nonzero()[0]
+            if not len(miss):
+                return locals_, miss
+            fresh = keys[miss]
+        if visit is not None:
+            visit = (visit if miss is None else visit[miss]).argsort()
+            fresh = fresh[visit]
+        # First occurrences of the fresh keys, by a stable sort.
+        order = fresh.argsort(kind="stable")
+        ordered = fresh[order]
+        repeated = ordered[1:] == ordered[:-1]
+        if not np.count_nonzero(repeated):  # distinct keys: numbered as given
+            unique, new = ordered, np.arange(len(fresh))
+            fresh_locals, new_locals = new + base, order + base
+        else:
+            first = np.concatenate(([True], ~repeated))
+            unique, starts = ordered[first], order[first]
+            creation = starts.argsort()
+            new = starts[creation]
+            new_locals = np.empty(len(unique), dtype=np.int64)
+            new_locals[creation] = np.arange(base, base + len(unique))
+            fresh_locals = new_locals[unique.searchsorted(fresh)]
+        if base:
+            merged = np.concatenate((table, unique))
+            by_key = merged.argsort()
+            unique, new_locals = merged[by_key], np.concatenate((known, new_locals))[by_key]
+        self._tables[node_type] = (unique, new_locals)
+        if visit is not None:  # back from visit order to the order of ``keys``
+            fresh_locals[visit] = fresh_locals.copy()
+            new = visit[new]
+        if miss is None:
+            return fresh_locals, new
+        locals_[miss] = fresh_locals
+        return locals_, miss[new]
+
+
+class _Block(NamedTuple):
+    """New instances of one node type from one hop, in creation order."""
+
+    node_type: str
+    origs: np.ndarray
+    ctxs: np.ndarray
+    locals: np.ndarray
+    order: np.ndarray  # increasing creation keys, comparable across a hop's blocks
+    counts: np.ndarray  # in_degrees(): the sampling range per incoming edge type
+
+
+class _HopSampler:
+    """Seed interning, the hop loop and the trace counters of both samplers.
+
+    Subclasses implement ``_expand(subgraph, table, frontier, fanout)``,
+    which samples one hop for a frontier of :class:`_Block` and returns
+    the next frontier and its count of fanout-truncated pairs.
     """
 
     def __init__(
@@ -266,10 +297,7 @@ class NeighborSampler:
         return len(self.fanouts)
 
     def sample(
-        self,
-        seed_type: str,
-        seed_ids: np.ndarray,
-        seed_times: np.ndarray,
+        self, seed_type: str, seed_ids: np.ndarray, seed_times: np.ndarray
     ) -> SampledSubgraph:
         """Sample the merged subgraph around the given seeds.
 
@@ -284,32 +312,20 @@ class NeighborSampler:
             raise ValueError("seed_ids and seed_times must have the same shape")
 
         subgraph = SampledSubgraph(seed_type)
-        frontier: List[Tuple[str, int, int, int]] = []  # (type, orig, ctx_time, local)
-        seed_locals = np.empty(len(seed_ids), dtype=np.int64)
-        for i, (orig, time) in enumerate(zip(seed_ids.tolist(), seed_times.tolist())):
-            local, new = subgraph.add_node(seed_type, orig, time)
-            seed_locals[i] = local
-            if new:
-                self._record_degrees(subgraph, seed_type, orig, time, local)
-                frontier.append((seed_type, orig, time, local))
-        subgraph.seed_locals = seed_locals
-
+        table = _InstanceTable(seed_times)
+        frontier: List[_Block] = []
+        if len(seed_ids):
+            seed_locals, new = table.intern(seed_type, seed_ids, seed_times)
+            subgraph.seed_locals = seed_locals
+            frontier.append(self._new_block(
+                subgraph, seed_type, seed_ids[new], seed_times[new], seed_locals[new], new
+            ))
         truncations = 0
         for fanout in self.fanouts:
-            next_frontier: List[Tuple[str, int, int, int]] = []
-            for node_type, orig, ctx_time, local in frontier:
-                for edge_type in self._edge_types_into[node_type]:
-                    neighbors, truncated = self._sample_neighbors(edge_type, orig, ctx_time, fanout)
-                    truncations += truncated
-                    for nbr in neighbors:
-                        nbr_local, new = subgraph.add_node(edge_type.src, int(nbr), ctx_time)
-                        subgraph.add_edge(edge_type, nbr_local, local)
-                        if new:
-                            self._record_degrees(
-                                subgraph, edge_type.src, int(nbr), ctx_time, nbr_local
-                            )
-                            next_frontier.append((edge_type.src, int(nbr), ctx_time, nbr_local))
-            frontier = next_frontier
+            if not frontier:
+                break
+            frontier, truncated = self._expand(subgraph, table, frontier, fanout)
+            truncations += truncated
         if obs_trace.enabled():
             obs_trace.add_counter("sampler.calls")
             obs_trace.add_counter("sampler.seeds", len(seed_ids))
@@ -318,28 +334,137 @@ class NeighborSampler:
             obs_trace.add_counter("sampler.fanout_truncations", truncations)
         return subgraph.finalize()
 
-    def _record_degrees(
-        self, subgraph: SampledSubgraph, node_type: str, orig: int, ctx_time: int, local: int
-    ) -> None:
-        """Store the node's time-valid in-degree per incoming edge type."""
-        incoming = self._edge_types_into[node_type]
-        if not incoming:
-            return
-        if self.time_respecting:
-            degrees = [float(self.graph.count_before(et, orig, ctx_time)) for et in incoming]
-        else:
-            degrees = [float(len(self.graph.all_neighbors(et, orig))) for et in incoming]
-        subgraph.set_degrees(node_type, local, degrees)
+    def _new_block(
+        self, subgraph: SampledSubgraph, node_type: str, origs, ctxs, locals_, order
+    ) -> _Block:
+        """Record new instances with their degrees; they form the next frontier."""
+        counts = in_degrees(
+            self.graph, self._edge_types_into[node_type], origs, ctxs, self.time_respecting
+        )
+        subgraph.add_nodes(node_type, origs, ctxs, counts.T)
+        return _Block(node_type, origs, ctxs, locals_, order, counts)
 
-    def _sample_neighbors(
-        self, edge_type: EdgeType, dst: int, ctx_time: int, fanout: int
-    ) -> Tuple[np.ndarray, bool]:
-        """(sampled neighbors, whether the fanout cap truncated them)."""
-        if self.time_respecting:
-            candidates, _ = self.graph.neighbors_before(edge_type, dst, ctx_time)
-        else:
-            candidates = self.graph.all_neighbors(edge_type, dst)
-        if len(candidates) <= fanout:
-            return candidates, False
-        picks = self.rng.choice(len(candidates), size=fanout, replace=False)
-        return candidates[picks], True
+
+
+class NeighborSampler(_HopSampler):
+    """Samples L-hop time-respecting neighborhoods.
+
+    Parameters
+    ----------
+    graph:
+        The full heterogeneous graph.
+    fanouts:
+        Neighbors sampled per edge type at each hop; ``len(fanouts)``
+        is the number of hops (use the model depth).
+    rng:
+        Random generator (sampling without replacement per neighbor
+        list).
+    time_respecting:
+        When false, ignores timestamps entirely — the *leaky* variant
+        used by the Figure 3 ablation.  Never use in production.
+    """
+
+    def _expand(
+        self, subgraph: SampledSubgraph, table: _InstanceTable, frontier: List[_Block], fanout: int
+    ) -> Tuple[List[_Block], int]:
+        """Sample one hop; returns (next frontier, truncated pair count).
+
+        A *pair* is one (frontier node, edge type into it); the loop
+        visits pairs by the node's creation rank, then by edge type,
+        and each pair's neighbor *slots* in order.  Here pairs are laid
+        out in *runs*, one per (block, edge type), with the runs that
+        reach the same node type next to each other, so each type's
+        slots form one contiguous range.  Pair keys and slot sequence
+        keys order them as the loop visits them.
+        """
+        width = max(len(self._edge_types_into[b.node_type]) for b in frontier)
+        if not width:
+            return [], 0
+        # Creation ranks across blocks; blocks created one after another
+        # (no interleaving) need no sort.
+        ranks = None
+        if any(a.order[-1] > b.order[0] for a, b in zip(frontier, frontier[1:])):
+            order = np.concatenate([b.order for b in frontier])
+            ranks = np.empty(len(order), dtype=np.int64)
+            ranks[order.argsort()] = np.arange(len(order))
+        groups: Dict[str, list] = {}  # node type reached -> its runs
+        done = 0
+        for block in frontier:
+            n = len(block.origs)
+            if ranks is None:
+                base = np.arange(done * width, (done + n) * width, width)
+            else:
+                base = ranks[done : done + n] * width
+            done += n
+            for k, edge_type in enumerate(self._edge_types_into[block.node_type]):
+                groups.setdefault(edge_type.src, []).append((edge_type, block, k, base))
+        runs = [run for group in groups.values() for run in group]
+        stores = self.graph._edges
+        counts = np.concatenate([b.counts[k] for _, b, k, _ in runs])
+        keys = np.concatenate([base + k for _, _, k, base in runs])
+        starts = np.concatenate([stores[et].indptr[b.origs] for et, b, _, _ in runs])
+
+        over = counts > fanout
+        truncated = over.nonzero()[0]
+        take = np.minimum(counts, fanout)
+        bounds = take.cumsum()
+        intra = np.arange(bounds[-1]) - (bounds - take).repeat(take)
+        offsets = intra
+        if len(truncated):
+            offsets = intra.copy()
+            offsets[over.repeat(take)] = self._draw(keys[truncated], counts[truncated], fanout)
+        positions = starts.repeat(take) + offsets
+        seq = (keys * fanout).repeat(take) + intra
+        # With one context time, instances need no per-slot context.
+        one_ctx = len(table.ctx_values) == 1
+        ctxs = None if one_ctx else np.concatenate([b.ctxs for _, b, _, _ in runs]).repeat(take)
+        dsts = np.concatenate([b.locals for _, b, _, _ in runs]).repeat(take)
+        nbrs = np.empty(len(positions), dtype=np.int64)
+
+        edge_blocks, new_blocks = [], []
+        stop = pairs = 0
+        for node_type, group in groups.items():
+            first = stop
+            filled = []  # (edge type, slot start, slot stop) of non-empty runs
+            for edge_type, block, _, _ in group:
+                pairs += len(block.origs)
+                start, stop = stop, int(bounds[pairs - 1])
+                if stop > start:
+                    nbrs[start:stop] = stores[edge_type].nbr_src[positions[start:stop]]
+                    filled.append((edge_type, start, stop))
+            if not filled:
+                continue
+            part = slice(first, stop)
+            # Slots of several runs interleave in visit order.
+            visit = seq[part] if len(filled) > 1 else None
+            group_ctxs = None if one_ctx else ctxs[part]
+            locals_, new = table.intern(node_type, nbrs[part], group_ctxs, visit)
+            if len(new):
+                new_ctxs = table.ctx_values.repeat(len(new)) if one_ctx else group_ctxs[new]
+                order = seq[part][new]
+                new_blocks.append(
+                    (order[0], node_type, nbrs[part][new], new_ctxs, locals_[new], order)
+                )
+            for edge_type, start, end in filled:
+                src = locals_[start - first : end - first]
+                edge_blocks.append((seq.item(start), edge_type, src, dsts[start:end]))
+        # Types and edge types enter the subgraph in first-visit order.
+        edge_blocks.sort(key=_first)
+        for _, edge_type, src, dst in edge_blocks:
+            subgraph.add_edges(edge_type, src, dst)
+        new_blocks.sort(key=_first)
+        return [self._new_block(subgraph, *args[1:]) for args in new_blocks], len(truncated)
+
+    def _draw(self, keys: np.ndarray, counts: np.ndarray, fanout: int) -> np.ndarray:
+        """Without-replacement offsets for the truncated pairs, flattened.
+
+        One row of ``fanout`` offsets per pair, in the layout order of
+        ``keys``; the ``rng.choice`` calls run in key order, the loop's
+        pair order.  This is the only per-pair Python work in a hop.
+        """
+        drawn = np.empty((len(keys), fanout), dtype=np.int64)
+        visit = keys.argsort()
+        choice = self.rng.choice
+        for row, count in zip(visit.tolist(), counts[visit].tolist()):
+            drawn[row] = choice(count, fanout, replace=False)
+        return drawn.ravel()

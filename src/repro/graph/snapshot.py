@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.graph.hetero import HeteroGraph
-from repro.graph.sampler import SampledSubgraph
+from repro.graph.sampler import SampledSubgraph, in_degrees
 
 __all__ = ["snapshot_subgraph"]
 
@@ -44,20 +44,12 @@ def snapshot_subgraph(
     local_of = {}
 
     for node_type in graph.node_types:
-        valid = graph.node_times(node_type) <= cutoff
-        origs = np.flatnonzero(valid)
+        origs = np.flatnonzero(graph.node_times(node_type) <= cutoff)
+        times = np.full(len(origs), cutoff, dtype=np.int64)
+        degrees = in_degrees(graph, graph.edge_types_into(node_type), origs, times)
+        subgraph.add_nodes(node_type, origs, times, degrees.T)
         mapping = np.full(graph.num_nodes(node_type), -1, dtype=np.int64)
-        incoming = graph.edge_types_into(node_type)
-        degrees = np.zeros((len(origs), len(incoming)))
-        for j, edge_type in enumerate(incoming):
-            store = graph._edges[edge_type]
-            csum = np.concatenate([[0], np.cumsum(store.nbr_time <= cutoff, dtype=np.int64)])
-            degrees[:, j] = csum[store.indptr[origs + 1]] - csum[store.indptr[origs]]
-        for position, orig in enumerate(origs.tolist()):
-            local, _ = subgraph.add_node(node_type, orig, cutoff)
-            mapping[orig] = local
-            if incoming:
-                subgraph.set_degrees(node_type, local, degrees[position].tolist())
+        mapping[origs] = np.arange(len(origs))
         local_of[node_type] = mapping
 
     for edge_type in graph.edge_types:

@@ -135,10 +135,11 @@ class PlannerConfig:
     #: tasks with skewed labels); improves recall at some AUROC cost.
     auto_pos_weight: bool = False
     #: Neighbor-sampler implementation: "reference" (exact
-    #: without-replacement semantics), "vectorized" (~5x faster,
-    #: with-replacement draws on high-degree nodes), or
-    #: "vectorized-unique" (vectorized kernels, exact without-
-    #: replacement fanouts; costs scale with node degree).
+    #: without-replacement semantics), "vectorized" (with-replacement
+    #: draws on high-degree nodes; ~2.2x the reference's epoch
+    #: throughput in benchmarks/bench_sampling.py), or
+    #: "vectorized-unique" (exact without-replacement fanouts; costs
+    #: scale with node degree).
     sampler_impl: str = "reference"
     #: Subgraph LRU capacity in batches; 0 disables memoization.
     #: Sampling is deterministic per batch either way (see

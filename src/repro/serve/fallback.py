@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.graph.builder import node_index_for_keys
 from repro.graph.hetero import HeteroGraph
+from repro.graph.sampler import in_degrees
 
 __all__ = ["ActivityHeuristic"]
 
@@ -49,11 +50,8 @@ class ActivityHeuristic:
         self._popularity: Dict[int, np.ndarray] = {}
 
     def _activity(self, node_ids: np.ndarray, cutoffs: np.ndarray, edge_types) -> np.ndarray:
-        counts = np.zeros(len(node_ids), dtype=np.float64)
-        for edge_type in edge_types:
-            for i, (node, cutoff) in enumerate(zip(node_ids.tolist(), cutoffs.tolist())):
-                counts[i] += self.graph.count_before(edge_type, int(node), int(cutoff))
-        return counts
+        counts = in_degrees(self.graph, edge_types, node_ids, cutoffs)
+        return counts.sum(axis=0).astype(np.float64)
 
     def predict(self, entity_keys: np.ndarray, cutoffs: np.ndarray, task: str) -> np.ndarray:
         """Activity scores per entity: probability-shaped for binary."""

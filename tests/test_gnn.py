@@ -177,7 +177,7 @@ class TestConv:
         from repro.graph.sampler import SampledSubgraph
 
         sub = SampledSubgraph("customers")
-        sub.add_node("customers", 0, 100)
+        sub.add_nodes("customers", [0], [100])
         hidden = {"customers": Tensor(np.ones((1, 4)))}
         out = conv(hidden, sub)
         assert out["customers"].shape == (1, 4)
